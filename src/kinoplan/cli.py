@@ -5,7 +5,6 @@ Subcommands:
     eval    --checkpoint ck.kpt --mode planner[,policy_only,...] [--terrains ...]
             [--levels ...] [--seeds ...] [--episodes N] [--out DIR]
     trace   --checkpoint ck.kpt --terrain gap [--level N] [--seed N] [--out DIR]
-    verify  [--out DIR]
 
 Exit codes: 0 success, 1 internal failure, 2 config error, 3 artifact
 mismatch. KINOPLAN_OUT_ROOT sets the default output root (default ./runs).
@@ -81,11 +80,6 @@ def cmd_trace(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    from .acceptance import run_all
-    return run_all(out_dir=args.out)
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="kinoplan", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -114,10 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--out", default=None)
     r.set_defaults(func=cmd_trace)
-
-    v = sub.add_parser("verify", help="run the full acceptance suite")
-    v.add_argument("--out", default=None)
-    v.set_defaults(func=cmd_verify)
     return p
 
 

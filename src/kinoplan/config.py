@@ -15,7 +15,6 @@ from .env import EnvConfig
 from .errors import ConfigError
 from .model import ModelConfig
 from .planner import ConstraintSet, PlannerConfig
-from .state import BodyParams
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -120,6 +119,11 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         self.train.validate()
         self.planner.validate()
+        if self.planner.horizon != self.model.imagination_horizon:
+            raise ConfigError(
+                "planner.horizon", f"{self.planner.horizon} != model.imagination_horizon "
+                f"{self.model.imagination_horizon} (the warm start hands the actor the "
+                "imagined rollout of the planner horizon)")
         if self.model.obs_dim != self.env.obs_dim:
             raise ConfigError(
                 "model", f"model obs dim {self.model.obs_dim} != env obs dim "

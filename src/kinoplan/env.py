@@ -10,7 +10,7 @@ refreshed at the 10 Hz sensor rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -216,6 +216,24 @@ class PlanarEnv:
         self._history = np.tile(row, (cfg.history_len, 1))
         return self._observe(), self._observe_priv()
 
+    def snapshot(self) -> dict:
+        """The env's state as a dict/list tree of plain values and arrays."""
+        snap = {k: v for k, v in vars(self).items() if k not in ("cfg", "state")}
+        snap.update(rng=self.rng.bit_generator.state, terrain=vars(self.terrain),
+                    state={**vars(self.state), "rng": self.state.rng.bit_generator.state})
+        return snap
+
+    def restore(self, snap: dict):
+        """Inverse of snapshot(), for an env built with the same config."""
+        snap = dict(snap)
+        self.rng.bit_generator.state = snap.pop("rng")
+        self.terrain = TerrainProfile(**snap.pop("terrain"))
+        sim = dict(snap.pop("state"))
+        rng = np.random.default_rng(0)
+        rng.bit_generator.state = sim.pop("rng")
+        self.state = SimState(rng=rng, **sim)
+        vars(self).update(snap)
+
     def set_state(self, x: np.ndarray):
         """Test hook: overwrite the physical state in place."""
         self.state.x = np.asarray(x, dtype=np.float64).copy()
@@ -420,11 +438,3 @@ class EnvBatch:
             infos.append(info)
         return (np.stack(obs), np.stack(priv), np.asarray(rewards),
                 np.asarray(dones, dtype=bool), infos)
-
-    def states(self) -> np.ndarray:
-        return np.stack([env.state.x for env in self.envs])
-
-    def replace_config(self, **kw):
-        self.cfg = replace(self.cfg, **kw)
-        for env in self.envs:
-            env.cfg = self.cfg

@@ -60,7 +60,6 @@ def run_policy_episode(env: PlanarEnv, model: InternalModel, actor: Actor,
                        rng: np.random.Generator) -> EpisodeOutcome:
     """Deterministic actor at the fast rate; model memory refreshed each tick."""
     obs, _ = env.reset(level=level)
-    model.floor_fn = env.terrain.floor_height
     y = ModelState(env.state.x.copy(), np.zeros(config.model.d_h),
                    np.zeros(config.model.d_z))
     horizon = config.model.imagination_horizon
@@ -69,19 +68,22 @@ def run_policy_episode(env: PlanarEnv, model: InternalModel, actor: Actor,
     phase = 0
     done = False
     info = {}
-    while not done:
-        if phase % config.steps_per_tick == 0:
+    model.floor_fn = env.terrain.floor_height
+    try:
+        while not done:
+            if phase % config.steps_per_tick == 0:
+                with no_grad():
+                    e = model.embed(obs.flat()[None]).data
+                rollout, y = model.imagine(y, e, horizon, rng=None)
+                h_cur = y.h
+                roll_cur = relative_rollout(rollout.states, y.x).ravel()
             with no_grad():
-                e = model.embed(obs.flat()[None]).data
-            rollout, y = model.imagine(y, e, horizon, rng=None)
-            h_cur = y.h
-            roll_cur = relative_rollout(rollout.states, y.x).ravel()
-        with no_grad():
-            a = actor(obs.flat()[None], h_cur[None], roll_cur[None]).mean.data[0]
-        obs, _, _, _, done, info = env.step(
-            env.cfg.to_physical(np.clip(a, -1.0, 1.0)))
-        phase += 1
-    model.floor_fn = None
+                a = actor(obs.flat()[None], h_cur[None], roll_cur[None]).mean.data[0]
+            obs, _, _, _, done, info = env.step(
+                env.cfg.to_physical(np.clip(a, -1.0, 1.0)))
+            phase += 1
+    finally:
+        model.floor_fn = None
     return EpisodeOutcome(info["episode_return"], info["success"],
                           info["episode_steps"], info["termination"])
 
@@ -94,7 +96,6 @@ def run_planner_episode(env: PlanarEnv, model: InternalModel, actor: Actor,
     pcfg = replace(config.planner, bootstrap=bootstrap)
     adapter = ModelPlannerAdapter(model, actor, config.planner.sigma_floor)
     obs, _ = env.reset(level=level)
-    model.floor_fn = env.terrain.floor_height
     y_prev = ModelState(env.state.x.copy(), np.zeros(config.model.d_h),
                         np.zeros(config.model.d_z))
     done = False
@@ -103,25 +104,28 @@ def run_planner_episode(env: PlanarEnv, model: InternalModel, actor: Actor,
     infeasible = 0
     traces = [] if keep_traces else None
     call_index = 0
-    while not done:
-        adapter.begin_tick(obs.flat())
-        a0, plan_prev, trace = mppi_plan(
-            None if call_index == 0 else plan_prev, y_prev, adapter, pcfg,
-            config.constraints, rng, call_index=call_index)
-        y_prev = adapter.tick_state
-        trace.actual_pz = float(env.state.x[IDX_PZ])
-        if trace.one_step_violation > 0:
-            violations += 1
-        infeasible += trace.infeasible_events
-        if keep_traces:
-            traces.append(trace)
-        phys = env.cfg.to_physical(np.clip(a0, -1.0, 1.0))
-        for _ in range(config.steps_per_tick):
-            obs, _, _, _, done, info = env.step(phys)
-            if done:
-                break
-        call_index += 1
-    model.floor_fn = None
+    model.floor_fn = env.terrain.floor_height
+    try:
+        while not done:
+            adapter.begin_tick(obs.flat())
+            a0, plan_prev, trace = mppi_plan(
+                None if call_index == 0 else plan_prev, y_prev, adapter, pcfg,
+                config.constraints, rng, call_index=call_index)
+            y_prev = adapter.tick_state
+            trace.actual_pz = float(env.state.x[IDX_PZ])
+            if trace.one_step_violation > 0:
+                violations += 1
+            infeasible += trace.infeasible_events
+            if keep_traces:
+                traces.append(trace)
+            phys = env.cfg.to_physical(np.clip(a0, -1.0, 1.0))
+            for _ in range(config.steps_per_tick):
+                obs, _, _, _, done, info = env.step(phys)
+                if done:
+                    break
+            call_index += 1
+    finally:
+        model.floor_fn = None
     return EpisodeOutcome(info["episode_return"], info["success"],
                           info["episode_steps"], info["termination"],
                           violation_count=violations, infeasible_events=infeasible,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .errors import DataError, DimensionError, TrainingError
 from .nn import (Conv1d, Dense, DiagonalGaussian, GaussianHead, GruCell, MLP, Module)
-from .state import (BodyParams, FEATURE_IDX, IDX_OFFSET, IDX_OMEGA, IDX_PITCH,
+from .state import (BodyParams, IDX_OFFSET, IDX_OMEGA, IDX_PITCH,
                     IDX_PX, IDX_PZ, IDX_VX, IDX_VZ, ModelState, X_DIM,
                     X_FEAT_DIM, foot_height, x_features)
 

@@ -328,22 +328,26 @@ def clip_grad_norm(params: dict[str, Tensor] | list[Tensor], max_norm: float) ->
 # -- checkpoint format --------------------------------------------------------------
 #
 # Single file: one JSON header line (format version, metadata, tensor table with
-# names/dtypes/shapes in order) followed by the raw little-endian buffers
-# concatenated in table order. Byte-for-byte deterministic for identical content.
+# names/dtypes/shapes in order, SHA-256 of the buffers) followed by the raw
+# little-endian buffers concatenated in table order. Byte-for-byte
+# deterministic for identical content.
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = None):
     table = []
     buffers = []
+    digest = hashlib.sha256()
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name])
         if arr.dtype not in (np.float64, np.int64):
             arr = arr.astype(np.float64)
         table.append({"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape)})
         buffers.append(arr.tobytes())
+        digest.update(buffers[-1])
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "meta": meta or {},
+        "sha256": digest.hexdigest(),
         "tensors": table,
     }
     with open(path, "wb") as f:
@@ -354,16 +358,18 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = Non
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     with open(path, "rb") as f:
-        header_line = f.readline()
         try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as e:
+            header = json.loads(f.readline())
+        except ValueError as e:   # also a binary first line that is not UTF-8
             raise ArtifactMismatchError(f"not a checkpoint file: {path}") from e
+        if not isinstance(header, dict):
+            raise ArtifactMismatchError(f"not a checkpoint file: {path}")
         version = header.get("format_version")
         if version != CHECKPOINT_FORMAT_VERSION:
             raise ArtifactMismatchError(
                 f"checkpoint format version {version}, expected {CHECKPOINT_FORMAT_VERSION}")
         arrays = {}
+        digest = hashlib.sha256()
         for entry in header["tensors"]:
             dtype = np.dtype(entry["dtype"])
             shape = tuple(entry["shape"])
@@ -371,5 +377,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             buf = f.read(count * dtype.itemsize)
             if len(buf) != count * dtype.itemsize:
                 raise ArtifactMismatchError(f"truncated checkpoint: {path}")
+            digest.update(buf)
             arrays[entry["name"]] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+    if header.get("sha256") != digest.hexdigest():
+        raise ArtifactMismatchError(f"checkpoint contents do not match their SHA-256: {path}")
     return arrays, header.get("meta", {})

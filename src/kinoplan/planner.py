@@ -156,14 +156,12 @@ class ConstraintSet:
             e = e.sum(axis=tuple(range(1, e.ndim)))
         return e
 
-
-@dataclass
-class TrajectoryCandidate:
-    actions: np.ndarray            # (H, m)
-    predicted_states: np.ndarray   # (H, 7) kinodynamic predictions
-    return_estimate: float
-    feasible: bool
-    violation_magnitude: float
+    def violation(self, xs: np.ndarray, actions: np.ndarray,
+                  returns: np.ndarray | None = None) -> np.ndarray:
+        """Total excess of each candidate's predicted states and actions
+        (bounds inclusive, 0 = feasible); inf where its return is non-finite."""
+        v = self.state_excess(xs) + self.action_excess(actions)
+        return v if returns is None else np.where(np.isfinite(returns), v, _INF)
 
 
 @dataclass
@@ -225,7 +223,8 @@ def rollout_candidates(model, y0, actions: np.ndarray, gamma: float,
 
     actions: (n, H, m). Returns (returns (n,), predicted states (n, H, 7)).
     Discounted reward means are accumulated step-by-step; the terminal value
-    head mean is added at gamma^H when bootstrapping.
+    head mean is added at gamma^H when bootstrapping. H = 0 degenerates to the
+    pure bootstrap.
     """
     actions = np.asarray(actions, dtype=np.float64)
     n, horizon = actions.shape[0], actions.shape[1]
@@ -241,32 +240,6 @@ def rollout_candidates(model, y0, actions: np.ndarray, gamma: float,
     if bootstrap:
         returns += gpow * model.value_mean(batch)
     return returns, xs
-
-
-def evaluate_return(actions: np.ndarray, y0, gamma: float, model,
-                    rng: np.random.Generator, bootstrap: bool = True) -> float:
-    """Expected return of one candidate: discounted reward-head means over the
-    horizon plus the discounted terminal value mean. H = 0 degenerates to the
-    pure bootstrap."""
-    actions = np.asarray(actions, dtype=np.float64)
-    if actions.shape[0] == 0:
-        batch = model.begin(y0, 1)
-        return float(model.value_mean(batch)[0]) if bootstrap else 0.0
-    returns, _ = rollout_candidates(model, y0, actions[None], gamma, rng, bootstrap)
-    return float(returns[0])
-
-
-def check_constraints(candidate: TrajectoryCandidate, cset: ConstraintSet
-                      ) -> tuple[bool, float]:
-    """Feasibility of one candidate: zero total excess over predicted states
-    and actions (bounds inclusive)."""
-    violation = float(cset.state_excess(candidate.predicted_states[None])[0]
-                      + cset.action_excess(candidate.actions[None])[0])
-    if not np.isfinite(candidate.return_estimate):
-        violation = _INF
-    candidate.violation_magnitude = violation
-    candidate.feasible = violation == 0.0
-    return candidate.feasible, violation
 
 
 def select_elites(actions: np.ndarray, returns: np.ndarray, violations: np.ndarray,
@@ -334,8 +307,7 @@ def mppi_plan(plan_prev: GaussianActionPlan | None, y_prev, model,
         t2 = time.perf_counter()
         returns, xs = rollout_candidates(model, y0, actions, config.gamma, rng,
                                          config.bootstrap)
-        violations = cset.state_excess(xs) + cset.action_excess(actions)
-        violations = np.where(np.isfinite(returns), violations, _INF)
+        violations = cset.violation(xs, actions, returns)
         t3 = time.perf_counter()
         elite_idx, fell_back = select_elites(actions, returns, violations,
                                              config.elites, config.penalty_weight)
@@ -402,7 +374,7 @@ def _draw_first_action(plan: GaussianActionPlan, y0, model, cset: ConstraintSet,
                      lo, hi)
         batch = model.begin(y0, 1)
         _, _, x_pred = model.step(batch, a0[None], rng)
-        viol = float(cset.state_excess(x_pred[None])[0] + cset.action_excess(a0[None])[0])
+        viol = float(cset.violation(x_pred[None], a0[None])[0])
         if viol == 0.0:
             return a0, x_pred[0], 0.0, False
         if best is None or viol < best[2]:
@@ -411,7 +383,7 @@ def _draw_first_action(plan: GaussianActionPlan, y0, model, cset: ConstraintSet,
     a0 = np.clip(plan.mean[0], lo, hi)
     batch = model.begin(y0, 1)
     _, _, x_pred = model.step(batch, a0[None], rng)
-    viol = float(cset.state_excess(x_pred[None])[0] + cset.action_excess(a0[None])[0])
+    viol = float(cset.violation(x_pred[None], a0[None])[0])
     if best is not None and best[2] < viol:
         a0, x_pred0, viol = best
         return a0, x_pred0, viol, True

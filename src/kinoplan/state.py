@@ -26,30 +26,6 @@ X_FEAT_DIM = len(FEATURE_IDX)
 
 
 @dataclass
-class KinodynamicState:
-    """Named view of the 7-vector; all fields finite by construction."""
-
-    p_x: float
-    p_z: float
-    pitch: float
-    v_x: float
-    v_z: float
-    pitch_rate: float
-    height_offset: float
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.p_x, self.p_z, self.pitch, self.v_x, self.v_z,
-                         self.pitch_rate, self.height_offset], dtype=np.float64)
-
-    @classmethod
-    def from_array(cls, arr) -> "KinodynamicState":
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.shape != (X_DIM,):
-            raise ValueError(f"expected shape ({X_DIM},), got {arr.shape}")
-        return cls(*[float(v) for v in arr])
-
-
-@dataclass
 class ModelState:
     """The model-state triple: explicit physical state, recurrent memory,
     stochastic latent."""

@@ -11,43 +11,24 @@ reward and the true states at both ends.
 
 from __future__ import annotations
 
-import copy
 import json
 import os
-import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, no_grad
+from .autodiff import no_grad
 from .config import ExperimentConfig
 from .env import EnvBatch, curriculum_advance
-from .errors import DataError, TrainingError
+from .errors import ArtifactMismatchError, DataError, TrainingError
 from .model import InternalModel, LOSS_TERMS
-from .nn import Adam, clip_grad_norm, param_checksum, save_checkpoint
-from .planner import ConstraintSet, PlannerConfig
+from .nn import Adam, clip_grad_norm, load_checkpoint, save_checkpoint
 from .policy import Actor, Critic
-from .state import IDX_PX, ModelState, X_DIM, relative_rollout
+from .state import IDX_PX, X_DIM, relative_rollout
 
 METRICS_SCHEMA_VERSION = 1
-
-
-@dataclass
-class Transition:
-    """One fast-rate record; exposed mainly for tests and episode logs."""
-
-    obs: np.ndarray
-    priv: np.ndarray
-    action: np.ndarray
-    log_prob: float
-    reward: float
-    value_target: float
-    x: np.ndarray
-    x_next: np.ndarray
-    done: bool
-    h: np.ndarray
-    rollout: np.ndarray
+RESUME_KIND = "kinoplan-resume"
 
 
 @dataclass
@@ -212,12 +193,14 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
                                  for tr, si in zip(_terrains, s)])
 
             model.floor_fn = multi_floor
-            with no_grad():
-                e = model.embed(obs[tick_ids]).data
-            states, _, _, _, first = model.rollout_batch(
-                collector.x[tick_ids], collector.h[tick_ids],
-                collector.z[tick_ids], e, collector.horizon, rng=rng)
-            model.floor_fn = None
+            try:
+                with no_grad():
+                    e = model.embed(obs[tick_ids]).data
+                states, _, _, _, first = model.rollout_batch(
+                    collector.x[tick_ids], collector.h[tick_ids],
+                    collector.z[tick_ids], e, collector.horizon, rng=rng)
+            finally:
+                model.floor_fn = None
             x1, h1, z1 = first
             collector.x[tick_ids] = x1
             collector.h[tick_ids] = h1
@@ -375,6 +358,35 @@ def ppo_update(batch: RolloutBatch, actor: Actor, critic: Critic, optimizer: Ada
     return stats
 
 
+# Trainer attributes a resume file restores as they are
+_RESUMED_ATTRS = ("iteration", "env_steps_total", "obs", "priv", "level",
+                  "success_window", "recent_returns", "lr_halved")
+
+
+def _split_arrays(tree, arrays: dict, path: str):
+    """Copy of a dict/list tree with every ndarray moved into `arrays` under
+    its path and replaced by a reference to it."""
+    if isinstance(tree, np.ndarray):
+        arrays[path] = tree
+        return {"__array__": path}
+    if isinstance(tree, dict):
+        return {k: _split_arrays(v, arrays, f"{path}/{k}") for k, v in tree.items()}
+    if isinstance(tree, list):
+        return [_split_arrays(v, arrays, f"{path}/{i}") for i, v in enumerate(tree)]
+    return tree
+
+
+def _join_arrays(tree, arrays: dict):
+    """Inverse of _split_arrays."""
+    if isinstance(tree, dict):
+        if set(tree) == {"__array__"}:
+            return arrays[tree["__array__"]]
+        return {k: _join_arrays(v, arrays) for k, v in tree.items()}
+    if isinstance(tree, list):
+        return [_join_arrays(v, arrays) for v in tree]
+    return tree
+
+
 class Trainer:
     """Alternates rollout collection, supervised model updates, PPO updates,
     and curriculum advancement; writes metrics/checkpoints into the run dir."""
@@ -425,13 +437,25 @@ class Trainer:
 
     # -- persistence -----------------------------------------------------------
 
-    def checkpoint_arrays(self) -> dict:
-        arrays = {}
-        for prefix, module in (("model", self.model), ("actor", self.actor),
-                               ("critic", self.critic)):
-            for k, v in module.state_arrays().items():
-                arrays[f"{prefix}.{k}"] = v
-        return arrays
+    def _owners(self):
+        return (("model", self.model), ("actor", self.actor), ("critic", self.critic),
+                ("opt_model", self.opt_model), ("opt_ac", self.opt_ac))
+
+    def _rngs(self):
+        return self.rng_collect, self.rng_model, self.rng_ppo
+
+    def checkpoint_arrays(self, optimizers: bool = False) -> dict:
+        """Copies of the parameters (plus the Adam state with `optimizers`),
+        each name prefixed by its owner."""
+        owners = self._owners() if optimizers else self._owners()[:3]
+        return {f"{prefix}.{k}": v for prefix, owner in owners
+                for k, v in owner.state_arrays().items()}
+
+    def load_arrays(self, arrays: dict):
+        """Inverse of checkpoint_arrays(optimizers=True)."""
+        for prefix, owner in self._owners():
+            owner.load_state({k[len(prefix) + 1:]: v for k, v in arrays.items()
+                              if k.startswith(prefix + ".")})
 
     def save_checkpoint(self, path: str):
         meta = {"kind": "kinoplan-agent", **self.model.checkpoint_meta(),
@@ -440,54 +464,38 @@ class Trainer:
         save_checkpoint(path, self.checkpoint_arrays(), meta)
 
     def save_resume_state(self, path: str):
-        state = {
-            "config": self.cfg.to_dict(),
-            "iteration": self.iteration,
-            "env_steps_total": self.env_steps_total,
-            "arrays": self.checkpoint_arrays(),
-            "opt_model": self.opt_model.state_arrays(),
-            "opt_ac": self.opt_ac.state_arrays(),
-            "rng_collect": self.rng_collect.bit_generator.state,
-            "rng_model": self.rng_model.bit_generator.state,
-            "rng_ppo": self.rng_ppo.bit_generator.state,
-            "replay": self.replay,
-            "collector": self.collector,
-            "envs": self.envs,
-            "obs": self.obs,
-            "priv": self.priv,
-            "level": self.level,
-            "success_window": self.success_window,
-            "recent_returns": self.recent_returns,
-            "lr_halved": self.lr_halved,
-        }
-        with open(path, "wb") as f:
-            pickle.dump(state, f)
+        """Everything the next iteration reads, in the checkpoint format:
+        arrays go to the buffers, the rest (RNG states included) to the
+        JSON header."""
+        arrays = self.checkpoint_arrays(optimizers=True)
+        state = {k: getattr(self, k) for k in _RESUMED_ATTRS}
+        state.update(lr=[self.opt_model.lr, self.opt_ac.lr],
+                     rng=[g.bit_generator.state for g in self._rngs()],
+                     replay=vars(self.replay), collector=vars(self.collector),
+                     envs=[env.snapshot() for env in self.envs.envs])
+        meta = {"kind": RESUME_KIND, "config": self.cfg.to_dict(),
+                "state": _split_arrays(state, arrays, "state")}
+        save_checkpoint(path, arrays, meta)
 
     def load_resume_state(self, path: str):
-        with open(path, "rb") as f:
-            state = pickle.load(f)
-        arrays = state["arrays"]
-        for prefix, module in (("model", self.model), ("actor", self.actor),
-                               ("critic", self.critic)):
-            module.load_state({k[len(prefix) + 1:]: v for k, v in arrays.items()
-                               if k.startswith(prefix + ".")})
-        self.opt_model.load_state(state["opt_model"])
-        self.opt_ac.load_state(state["opt_ac"])
-        self.rng_collect.bit_generator.state = state["rng_collect"]
-        self.rng_model.bit_generator.state = state["rng_model"]
-        self.rng_ppo.bit_generator.state = state["rng_ppo"]
-        self.replay = state["replay"]
-        self.collector = state["collector"]
-        self.envs = state["envs"]
-        self.obs = state["obs"]
-        self.priv = state["priv"]
-        self.iteration = state["iteration"]
-        self.env_steps_total = state["env_steps_total"]
-        self.level = state["level"]
+        arrays, meta = load_checkpoint(path)
+        if meta.get("kind") != RESUME_KIND:
+            raise ArtifactMismatchError(f"not a resume state file: {path}")
+        if meta.get("config") != self.cfg.to_dict():
+            raise ArtifactMismatchError(
+                f"resume state was written for another config: {path}")
+        self.load_arrays(arrays)
+        state = _join_arrays(meta["state"], arrays)
+        self.opt_model.lr, self.opt_ac.lr = state.pop("lr")
+        for g, rng_state in zip(self._rngs(), state.pop("rng")):
+            g.bit_generator.state = rng_state
+        vars(self.replay).update(state.pop("replay"))
+        vars(self.collector).update(state.pop("collector"))
+        for env, snap in zip(self.envs.envs, state.pop("envs")):
+            env.restore(snap)
+        for k in _RESUMED_ATTRS:
+            setattr(self, k, state[k])
         self.envs.level = self.level
-        self.success_window = state["success_window"]
-        self.recent_returns = state["recent_returns"]
-        self.lr_halved = state["lr_halved"]
 
     # -- core loop ----------------------------------------------------------------
 
@@ -561,9 +569,7 @@ class Trainer:
         metrics = open(self._metrics_path, "a")
         try:
             while self.iteration < tc.iterations:
-                snapshot = (copy.deepcopy(self.checkpoint_arrays()),
-                            copy.deepcopy(self.opt_model.state_arrays()),
-                            copy.deepcopy(self.opt_ac.state_arrays()))
+                snapshot = self.checkpoint_arrays(optimizers=True)
                 try:
                     row = self.run_iteration()
                 except TrainingError as e:
@@ -571,15 +577,7 @@ class Trainer:
                         raise TrainingError(
                             f"second non-finite failure at iteration "
                             f"{self.iteration}: {e}") from e
-                    arrays, opt_m, opt_ac = snapshot
-                    for prefix, module in (("model", self.model),
-                                           ("actor", self.actor),
-                                           ("critic", self.critic)):
-                        module.load_state(
-                            {k[len(prefix) + 1:]: v for k, v in arrays.items()
-                             if k.startswith(prefix + ".")})
-                    self.opt_model.load_state(opt_m)
-                    self.opt_ac.load_state(opt_ac)
+                    self.load_arrays(snapshot)
                     self.opt_model.lr *= 0.5
                     self.opt_ac.lr *= 0.5
                     self.lr_halved = True
@@ -592,7 +590,7 @@ class Trainer:
                         self.out_dir, f"checkpoint_{self.iteration:06d}.kpt"))
                     if tc.save_resume_state:
                         self.save_resume_state(os.path.join(
-                            self.out_dir, "resume_state.pkl"))
+                            self.out_dir, "resume_state.kpt"))
         finally:
             metrics.close()
         self.save_checkpoint(os.path.join(self.out_dir, "checkpoint_final.kpt"))

@@ -40,6 +40,19 @@ def test_unknown_field_exits_2_with_name(tmp_path, capsys):
     assert "planner.wat" in capsys.readouterr().err
 
 
+def test_planner_horizon_must_equal_imagination_horizon(tmp_path, capsys):
+    with pytest.raises(ConfigError) as err:
+        smoke_config(0, planner={"horizon": 3})
+    assert err.value.field == "planner.horizon"
+
+    data = smoke_config(0).to_dict()
+    data["planner"]["horizon"] = 3
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+    assert "planner.horizon" in capsys.readouterr().err
+
+
 def test_train_creates_run_directory(tmp_path):
     cfg_path = _write_config(tmp_path, train=TINY_TRAIN)
     out = tmp_path / "run"

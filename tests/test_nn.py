@@ -1,5 +1,7 @@
 """Layer set, distribution heads, Adam, and the checkpoint format."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -297,6 +299,34 @@ def test_checkpoint_version_and_shape_mismatch(tmp_path, rng):
     arrays["a.weight"] = np.zeros((7, 7))
     with pytest.raises(ArtifactMismatchError, match="a.weight"):
         net.load_state(arrays)
+
+
+def test_checkpoint_detects_flipped_buffer_byte(tmp_path, rng):
+    path = tmp_path / "net.kpt"
+    save_checkpoint(path, _Net(rng).state_arrays(), meta={})
+    raw = bytearray(path.read_bytes())
+    raw[-5] ^= 0x01   # one bit of the last buffer
+    (tmp_path / "flipped.kpt").write_bytes(bytes(raw))
+    with pytest.raises(ArtifactMismatchError, match="SHA-256"):
+        load_checkpoint(tmp_path / "flipped.kpt")
+
+
+def test_checkpoint_without_digest_is_rejected(tmp_path, rng):
+    path = tmp_path / "net.kpt"
+    save_checkpoint(path, _Net(rng).state_arrays(), meta={})
+    header, _, body = path.read_bytes().partition(b"\n")
+    stripped = json.loads(header)
+    del stripped["sha256"]
+    (tmp_path / "old.kpt").write_bytes(json.dumps(stripped).encode() + b"\n" + body)
+    with pytest.raises(ArtifactMismatchError, match="SHA-256"):
+        load_checkpoint(tmp_path / "old.kpt")
+
+
+def test_binary_file_is_not_a_checkpoint(tmp_path):
+    path = tmp_path / "blob.kpt"
+    path.write_bytes(b"\x80\x05\x95 binary\n")
+    with pytest.raises(ArtifactMismatchError, match="not a checkpoint"):
+        load_checkpoint(path)
 
 
 def test_conv_layer_out_length(rng):

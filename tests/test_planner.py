@@ -6,13 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from kinoplan import evaluate
+from kinoplan.config import smoke_config
+from kinoplan.env import PlanarEnv
 from kinoplan.errors import ConfigError, DimensionError
 from kinoplan.model import InternalModel, ModelConfig
 from kinoplan.planner import (ConstraintSet, DiagnosticTrace, GaussianActionPlan,
-                              ModelPlannerAdapter, PlannerConfig,
-                              TrajectoryCandidate, blend_plans, check_constraints,
-                              evaluate_return, fit_elite_plan, mppi_plan,
-                              rollout_candidates, select_elites)
+                              ModelPlannerAdapter, PlannerConfig, blend_plans,
+                              fit_elite_plan, mppi_plan, rollout_candidates,
+                              select_elites)
 from kinoplan.policy import Actor
 from kinoplan.state import BodyParams, IDX_VX, ModelState, X_DIM
 
@@ -99,32 +101,28 @@ def test_constraint_set_bounds_must_order():
 def test_check_constraints_inside_and_excess():
     cset = ConstraintSet(v_x=(-1.0, 1.0), v_z=(-2.0, 2.0), pitch_rate=(-3.0, 3.0),
                          height_offset=(-0.3, 0.15))
-    cand = TrajectoryCandidate(np.zeros((4, 4)), np.zeros((4, X_DIM)), 1.0, False, 0.0)
-    feasible, viol = check_constraints(cand, cset)
-    assert feasible and viol == 0.0
+    viol = cset.violation(np.zeros((1, 4, X_DIM)), np.zeros((1, 4, 4)), np.array([1.0]))
+    assert viol[0] == 0.0   # feasible
 
-    states = np.zeros((4, X_DIM))
-    states[2, IDX_VX] = 1.5  # 0.5 above the bound
-    cand = TrajectoryCandidate(np.zeros((4, 4)), states, 1.0, False, 0.0)
-    feasible, viol = check_constraints(cand, cset)
-    assert not feasible
-    assert viol == pytest.approx(0.5)
+    states = np.zeros((1, 4, X_DIM))
+    states[0, 2, IDX_VX] = 1.5  # 0.5 above the bound
+    viol = cset.violation(states, np.zeros((1, 4, 4)), np.array([1.0]))
+    assert viol[0] != 0.0   # infeasible
+    assert viol[0] == pytest.approx(0.5)
 
 
 def test_boundary_exact_value_is_feasible():
     cset = ConstraintSet(v_x=(-1.0, 1.0))
-    states = np.zeros((2, X_DIM))
-    states[:, IDX_VX] = 1.0
-    cand = TrajectoryCandidate(np.zeros((2, 4)), states, 0.0, False, 0.0)
-    feasible, viol = check_constraints(cand, cset)
-    assert feasible and viol == 0.0
+    states = np.zeros((1, 2, X_DIM))
+    states[0, :, IDX_VX] = 1.0
+    viol = cset.violation(states, np.zeros((1, 2, 4)), np.array([0.0]))
+    assert viol[0] == 0.0   # feasible
 
 
 def test_nonfinite_return_marks_infeasible():
-    cand = TrajectoryCandidate(np.zeros((2, 4)), np.zeros((2, X_DIM)),
-                               float("nan"), True, 0.0)
-    feasible, viol = check_constraints(cand, ConstraintSet())
-    assert not feasible and viol == float("inf")
+    viol = ConstraintSet().violation(np.zeros((1, 2, X_DIM)), np.zeros((1, 2, 4)),
+                                     np.array([float("nan")]))
+    assert viol[0] == float("inf")   # infeasible
 
 
 # -- return evaluation ------------------------------------------------------------------
@@ -133,18 +131,21 @@ def test_nonfinite_return_marks_infeasible():
 @pytest.mark.parametrize("horizon", [1, 4, 8])
 def test_geometric_series_identity(gamma, horizon, rng):
     c, v = 1.7, -3.2
-    got = evaluate_return(np.zeros((horizon, 2)), None, gamma, ConstModel(c, v), rng)
+    got = rollout_candidates(ConstModel(c, v), None, np.zeros((1, horizon, 2)),
+                             gamma, rng)[0][0]
     want = c * sum(gamma ** k for k in range(horizon)) + gamma ** horizon * v
     assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_degenerate_horizon_is_pure_bootstrap(rng):
-    got = evaluate_return(np.zeros((0, 2)), None, 0.9, ConstModel(5.0, 11.0), rng)
+    got = rollout_candidates(ConstModel(5.0, 11.0), None, np.zeros((1, 0, 2)), 0.9,
+                             rng)[0][0]
     assert got == 11.0
 
 
 def test_gamma_zero_is_myopic(rng):
-    got = evaluate_return(np.zeros((6, 2)), None, 0.0, ConstModel(2.5, 100.0), rng)
+    got = rollout_candidates(ConstModel(2.5, 100.0), None, np.zeros((1, 6, 2)), 0.0,
+                             rng)[0][0]
     assert got == pytest.approx(2.5)
 
 
@@ -153,16 +154,18 @@ def test_return_linearity_in_reward_head(rng):
     base = ConstModel(2.0, 7.0)
     doubled = ConstModel(4.0, 7.0)
     acts = np.zeros((horizon, 2))
-    r1 = evaluate_return(acts, None, gamma, base, rng)
-    r2 = evaluate_return(acts, None, gamma, doubled, rng)
+    r1 = rollout_candidates(base, None, acts[None], gamma, rng)[0][0]
+    r2 = rollout_candidates(doubled, None, acts[None], gamma, rng)[0][0]
     tail = gamma ** horizon * 7.0
     assert (r2 - tail) == pytest.approx(2.0 * (r1 - tail), rel=1e-12)
 
 
 def test_bootstrap_flag_drops_terminal_value(rng):
     acts = np.zeros((4, 2))
-    with_b = evaluate_return(acts, None, 0.9, ConstModel(1.0, 50.0), rng, True)
-    without = evaluate_return(acts, None, 0.9, ConstModel(1.0, 50.0), rng, False)
+    with_b = rollout_candidates(ConstModel(1.0, 50.0), None, acts[None], 0.9, rng,
+                                True)[0][0]
+    without = rollout_candidates(ConstModel(1.0, 50.0), None, acts[None], 0.9, rng,
+                                 False)[0][0]
     assert with_b - without == pytest.approx(0.9 ** 4 * 50.0)
 
 
@@ -319,6 +322,24 @@ def test_mppi_executed_action_in_box(rng):
         assert trace.predicted_pz[0] == pytest.approx(adapter.tick_state.x[1])
 
 
+def test_planner_episode_clears_floor_lookup_on_error(monkeypatch):
+    cfg = smoke_config(0)
+    rng = np.random.default_rng(0)
+    model = InternalModel(cfg.model, cfg.env.body, rng)
+    actor = Actor(cfg.env.obs_dim, cfg.model.d_h, cfg.model.imagination_horizon,
+                  cfg.model.action_dim, rng)
+
+    def failing_plan(*args, **kwargs):
+        assert model.floor_fn is not None   # set for the episode's terrain
+        raise RuntimeError("planner failed")
+
+    monkeypatch.setattr(evaluate, "mppi_plan", failing_plan)
+    with pytest.raises(RuntimeError, match="planner failed"):
+        evaluate.run_planner_episode(PlanarEnv(cfg.env, seed=0), model, actor, cfg,
+                                     0, rng)
+    assert model.floor_fn is None
+
+
 def test_trace_json_schema(rng):
     adapter, y0 = _mini_agent(rng)
     cfg = PlannerConfig(horizon=3, iterations=1, samples=8, policy_samples=4,
@@ -334,7 +355,7 @@ def test_trace_json_schema(rng):
 
 
 def test_mppi_quick_lqr_quality(rng):
-    """Scaled-down optimality check; the acceptance suite runs the full one."""
+    """Scaled-down optimality check against the discounted Riccati optimum."""
     A = np.array([[1.0, 0.1], [0.0, 1.0]])
     B = np.array([[0.0], [0.1]])
     Q = np.diag([1.0, 0.1])

@@ -3,20 +3,11 @@
 import numpy as np
 import pytest
 
-from kinoplan.state import (BodyParams, KinodynamicState, advance_state,
+from kinoplan.state import (BodyParams, advance_state,
                             foot_height, relative_rollout, x_features,
                             IDX_PX, IDX_PZ, IDX_VX, IDX_VZ, X_DIM)
 
 BODY = BodyParams()
-
-
-def test_named_state_roundtrip():
-    arr = np.arange(7.0)
-    st = KinodynamicState.from_array(arr)
-    assert st.pitch == 2.0 and st.height_offset == 6.0
-    assert np.array_equal(st.to_array(), arr)
-    with pytest.raises(ValueError):
-        KinodynamicState.from_array(np.zeros(6))
 
 
 def test_features_drop_positions():

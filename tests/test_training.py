@@ -3,6 +3,7 @@ contracts, replay, stop-gradient separation, and resume determinism."""
 
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from kinoplan import training
 from kinoplan.autodiff import Tensor
 from kinoplan.config import smoke_config
 from kinoplan.env import EnvBatch, EnvConfig, PlanarEnv
-from kinoplan.errors import DataError
+from kinoplan.errors import ArtifactMismatchError, DataError, TrainingError
 from kinoplan.nn import param_checksum
 from kinoplan.training import (Collector, SequenceReplay, Trainer, compute_gae,
                                collect_rollouts, ppo_update)
@@ -268,6 +269,102 @@ def test_resume_reproduces_next_iteration_bit_exactly(tmp_path):
     tr3.load_resume_state(str(tmp_path / "state.pkl"))
     row3 = tr3.run_iteration()
     assert json.dumps(row3, sort_keys=True) == json.dumps(rows[2], sort_keys=True)
+
+
+def _resume_trainer(tmp_path, name, seed=4):
+    cfg = smoke_config(seed, train={"iterations": 3, "num_envs": 2,
+                                    "steps_per_iteration": 50})
+    return Trainer(cfg, str(tmp_path / name))
+
+
+_TRIPPED = []
+
+
+def _trip():
+    _TRIPPED.append(True)
+    return {}
+
+
+class _Tripwire:
+    def __reduce__(self):
+        return (_trip, ())
+
+
+def test_resume_rejects_pickle_without_running_it(tmp_path):
+    path = tmp_path / "resume_state.pkl"
+    path.write_bytes(pickle.dumps({"arrays": _Tripwire()}))
+    with pytest.raises(ArtifactMismatchError):
+        _resume_trainer(tmp_path, "a").load_resume_state(str(path))
+    assert not _TRIPPED
+
+
+def test_resume_rejects_truncated_file(tmp_path):
+    tr = _resume_trainer(tmp_path, "a")
+    tr.run_iteration()
+    path = tmp_path / "state.kpt"
+    tr.save_resume_state(str(path))
+    path.write_bytes(path.read_bytes()[:-100])
+    with pytest.raises(ArtifactMismatchError, match="truncated"):
+        _resume_trainer(tmp_path, "b").load_resume_state(str(path))
+
+
+def test_resume_rejects_agent_checkpoint(tmp_path):
+    tr = _resume_trainer(tmp_path, "a")
+    path = tmp_path / "agent.kpt"
+    tr.save_checkpoint(str(path))
+    with pytest.raises(ArtifactMismatchError, match="not a resume state"):
+        tr.load_resume_state(str(path))
+
+
+def test_resume_rejects_other_config(tmp_path):
+    path = tmp_path / "state.kpt"
+    _resume_trainer(tmp_path, "a", seed=4).save_resume_state(str(path))
+    with pytest.raises(ArtifactMismatchError, match="another config"):
+        _resume_trainer(tmp_path, "b", seed=5).load_resume_state(str(path))
+
+
+def test_resume_keeps_halved_learning_rates(tmp_path, monkeypatch):
+    """A non-finite rollback halves both Adam rates; a resumed run must go on
+    at the halved rates, not at the configured ones."""
+    cfg = smoke_config(4, train={"iterations": 1, "num_envs": 2,
+                                 "steps_per_iteration": 50, "checkpoint_every": 1,
+                                 "save_resume_state": True})
+    tr = Trainer(cfg, str(tmp_path / "a"))
+    real_iteration = tr.run_iteration
+    calls = []
+
+    def fails_once():
+        calls.append(1)
+        if len(calls) == 1:
+            raise TrainingError("non-finite PPO loss")
+        return real_iteration()
+
+    monkeypatch.setattr(tr, "run_iteration", fails_once)
+    out = tr.run()
+    halved = cfg.train.learning_rate * 0.5
+    assert tr.lr_halved and (tr.opt_model.lr, tr.opt_ac.lr) == (halved, halved)
+    tr.save_resume_state(str(tmp_path / "state.kpt"))
+
+    resumed = Trainer(cfg, str(tmp_path / "b"))
+    resumed.load_resume_state(str(tmp_path / "state.kpt"))
+    assert resumed.lr_halved
+    assert (resumed.opt_model.lr, resumed.opt_ac.lr) == (halved, halved)
+    assert "resume_state.kpt" in os.listdir(out)
+
+
+def test_collect_clears_floor_lookup_on_error(tmp_path, monkeypatch):
+    cfg, tr = _setup()
+
+    def failing_rollout(*args, **kwargs):
+        assert tr.model.floor_fn is not None
+        raise RuntimeError("rollout failed")
+
+    monkeypatch.setattr(tr.model, "rollout_batch", failing_rollout)
+    with pytest.raises(RuntimeError, match="rollout failed"):
+        collect_rollouts(tr.actor, tr.critic, tr.model, tr.envs, tr.obs, tr.priv, 5,
+                         cfg.steps_per_tick, tr.rng_collect, tr.collector, tr.replay,
+                         0.99, 0.95)
+    assert tr.model.floor_fn is None
 
 
 @pytest.mark.slow
