@@ -44,7 +44,8 @@ class TrainSettings:
 
     def validate(self):
         for name in ("iterations", "steps_per_iteration", "ppo_epochs",
-                     "ppo_minibatches", "model_batch", "model_seq_len", "num_envs"):
+                     "ppo_minibatches", "model_batch", "model_seq_len", "num_envs",
+                     "curriculum_window", "checkpoint_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"train.{name}", "must be >= 1")
         if not 0.0 < self.gamma < 1.0:

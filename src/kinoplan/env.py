@@ -234,10 +234,6 @@ class PlanarEnv:
         self.state = SimState(rng=rng, **sim)
         vars(self).update(snap)
 
-    def set_state(self, x: np.ndarray):
-        """Test hook: overwrite the physical state in place."""
-        self.state.x = np.asarray(x, dtype=np.float64).copy()
-
     # -- stepping ----------------------------------------------------------------
 
     def step(self, action: np.ndarray):
@@ -253,7 +249,7 @@ class PlanarEnv:
         a = np.clip(np.asarray(action, dtype=np.float64), lo, hi)
 
         if not np.isfinite(st.x).all():
-            return self._terminate(a, {}, "fault", fault=True)
+            return self._fault({})
 
         px, pz, th, vx, vz, om, d = st.x
         g = body.gravity if cfg.gravity_on else 0.0
@@ -300,7 +296,7 @@ class PlanarEnv:
 
         x2 = np.array([px2, pz2, th2, vx2, vz2, om2, d2])
         if not np.isfinite(x2).all():
-            return self._terminate(a, events, "fault", fault=True)
+            return self._fault(events)
 
         contact2 = (pz2 - (body.leg_length + d2)) <= float(
             self.terrain.floor_height(px2)) + body.contact_tol
@@ -365,10 +361,10 @@ class PlanarEnv:
                 "episode_steps": st.step_count}
         return self._observe(), self._observe_priv(), reward, terms, done, info
 
-    def _terminate(self, a, events, reason, fault=False):
-        events = dict(events)
-        info = {"events": events, "termination": reason, "success": False,
-                "fault": fault, "episode_return": self._episode_return,
+    def _fault(self, events):
+        """End the episode on a non-finite state, with no reward."""
+        info = {"events": dict(events), "termination": "fault", "success": False,
+                "fault": True, "episode_return": self._episode_return,
                 "episode_steps": self.state.step_count}
         return self._observe(), self._observe_priv(), 0.0, {}, True, info
 

@@ -20,7 +20,7 @@ from .model import InternalModel
 from .nn import load_checkpoint
 from .planner import ModelPlannerAdapter, mppi_plan
 from .policy import Actor, Critic
-from .state import IDX_PZ, ModelState, relative_rollout
+from .state import IDX_PZ, ModelState
 
 EVAL_MODES = ("policy_only", "planner", "planner_no_bootstrap")
 REPORT_SCHEMA_VERSION = 1
@@ -60,30 +60,20 @@ def run_policy_episode(env: PlanarEnv, model: InternalModel, actor: Actor,
                        rng: np.random.Generator) -> EpisodeOutcome:
     """Deterministic actor at the fast rate; model memory refreshed each tick."""
     obs, _ = env.reset(level=level)
-    y = ModelState(env.state.x.copy(), np.zeros(config.model.d_h),
-                   np.zeros(config.model.d_z))
-    horizon = config.model.imagination_horizon
-    h_cur = y.h
-    roll_cur = np.zeros(horizon * 7)
+    x = env.state.x.copy()[None]
+    h = np.zeros((1, config.model.d_h))
+    z = np.zeros((1, config.model.d_z))
     phase = 0
     done = False
     info = {}
-    model.floor_fn = env.terrain.floor_height
-    try:
-        while not done:
-            if phase % config.steps_per_tick == 0:
-                with no_grad():
-                    e = model.embed(obs.flat()[None]).data
-                rollout, y = model.imagine(y, e, horizon, rng=None)
-                h_cur = y.h
-                roll_cur = relative_rollout(rollout.states, y.x).ravel()
-            with no_grad():
-                a = actor(obs.flat()[None], h_cur[None], roll_cur[None]).mean.data[0]
-            obs, _, _, _, done, info = env.step(
-                env.cfg.to_physical(np.clip(a, -1.0, 1.0)))
-            phase += 1
-    finally:
-        model.floor_fn = None
+    while not done:
+        if phase % config.steps_per_tick == 0:
+            x, h, z, rollout_flat = model.tick(obs.flat()[None], x, h, z,
+                                               floor_fn=env.terrain.floor_height)
+        with no_grad():
+            a = actor(obs.flat()[None], h, rollout_flat).mean.data[0]
+        obs, _, _, _, done, info = env.step(env.cfg.to_physical(np.clip(a, -1.0, 1.0)))
+        phase += 1
     return EpisodeOutcome(info["episode_return"], info["success"],
                           info["episode_steps"], info["termination"])
 
@@ -94,8 +84,9 @@ def run_planner_episode(env: PlanarEnv, model: InternalModel, actor: Actor,
                         keep_traces: bool = False) -> EpisodeOutcome:
     """Plan at the model rate; hold each planned action for the fast window."""
     pcfg = replace(config.planner, bootstrap=bootstrap)
-    adapter = ModelPlannerAdapter(model, actor, config.planner.sigma_floor)
     obs, _ = env.reset(level=level)
+    adapter = ModelPlannerAdapter(model, actor, config.planner.sigma_floor,
+                                  floor_fn=env.terrain.floor_height)
     y_prev = ModelState(env.state.x.copy(), np.zeros(config.model.d_h),
                         np.zeros(config.model.d_z))
     done = False
@@ -104,28 +95,24 @@ def run_planner_episode(env: PlanarEnv, model: InternalModel, actor: Actor,
     infeasible = 0
     traces = [] if keep_traces else None
     call_index = 0
-    model.floor_fn = env.terrain.floor_height
-    try:
-        while not done:
-            adapter.begin_tick(obs.flat())
-            a0, plan_prev, trace = mppi_plan(
-                None if call_index == 0 else plan_prev, y_prev, adapter, pcfg,
-                config.constraints, rng, call_index=call_index)
-            y_prev = adapter.tick_state
-            trace.actual_pz = float(env.state.x[IDX_PZ])
-            if trace.one_step_violation > 0:
-                violations += 1
-            infeasible += trace.infeasible_events
-            if keep_traces:
-                traces.append(trace)
-            phys = env.cfg.to_physical(np.clip(a0, -1.0, 1.0))
-            for _ in range(config.steps_per_tick):
-                obs, _, _, _, done, info = env.step(phys)
-                if done:
-                    break
-            call_index += 1
-    finally:
-        model.floor_fn = None
+    while not done:
+        adapter.begin_tick(obs.flat())
+        a0, plan_prev, trace = mppi_plan(
+            None if call_index == 0 else plan_prev, y_prev, adapter, pcfg,
+            config.constraints, rng, call_index=call_index)
+        y_prev = adapter.tick_state
+        trace.actual_pz = float(env.state.x[IDX_PZ])
+        if trace.one_step_violation > 0:
+            violations += 1
+        infeasible += trace.infeasible_events
+        if keep_traces:
+            traces.append(trace)
+        phys = env.cfg.to_physical(np.clip(a0, -1.0, 1.0))
+        for _ in range(config.steps_per_tick):
+            obs, _, _, _, done, info = env.step(phys)
+            if done:
+                break
+        call_index += 1
     return EpisodeOutcome(info["episode_return"], info["success"],
                           info["episode_steps"], info["termination"],
                           violation_count=violations, infeasible_events=infeasible,

@@ -8,6 +8,15 @@ predicting (z, x) from h alone, with x advanced by a learned wrench through
 the fixed semi-implicit integrator; a decoder reconstructing the observation
 vector; reward/value heads; and an internal policy used to drive imagined
 rollouts.
+
+All inference runs through two methods. `step` advances a batch of model
+states by one action: the GRU, then the encoder branch when an embedding is
+given, otherwise the dynamics prior. `tick` is one model-rate refresh: embed
+the observation, roll H steps with the internal policy (the first through
+the encoder) and return the post-encoder state with the imagined rollout
+relative to it. Training collection, policy evaluation and the planner
+adapter all call these two; `model_loss` is the training-time path. The
+floor lookup is an explicit `floor_fn` argument, never model state.
 """
 
 from __future__ import annotations
@@ -23,8 +32,8 @@ from .autodiff import Tensor, no_grad
 from .errors import DataError, DimensionError, TrainingError
 from .nn import (Conv1d, Dense, DiagonalGaussian, GaussianHead, GruCell, MLP, Module)
 from .state import (BodyParams, IDX_OFFSET, IDX_OMEGA, IDX_PITCH,
-                    IDX_PX, IDX_PZ, IDX_VX, IDX_VZ, ModelState, X_DIM,
-                    X_FEAT_DIM, foot_height, x_features)
+                    IDX_PX, IDX_PZ, IDX_VX, IDX_VZ, X_DIM, X_FEAT_DIM,
+                    foot_height, relative_rollout, x_features)
 
 
 @dataclass(frozen=True)
@@ -57,19 +66,6 @@ class ModelConfig:
         return hashlib.sha256(json.dumps(asdict(self), sort_keys=True).encode()).hexdigest()[:16]
 
 
-@dataclass
-class ImaginedRollout:
-    """Predicted kinodynamic states over an imagination horizon.
-
-    states[0] is the first prediction (the posterior step); the terminal
-    model state is the post-posterior state used as the next starting point.
-    """
-
-    states: np.ndarray   # (H, 7)
-    actions: np.ndarray  # (H, action_dim)
-    terminal_model_state: ModelState
-
-
 LOSS_TERMS = ("reward_nll", "value_nll", "latent_kl", "action_cloning", "com", "reconstruction")
 
 _BATCH_FIELDS = ("obs", "action", "reward", "value_target", "x", "x_next",
@@ -82,7 +78,6 @@ class InternalModel(Module):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.cfg = cfg
         self.body = body
-        self.floor_fn = None   # optional floor-height lookup for the contact mode
 
         # observation preprocessing
         self.proprio_enc = Dense(cfg.proprio_size, cfg.embed_hidden, "elu", rng)
@@ -106,10 +101,6 @@ class InternalModel(Module):
         self.reward_head = GaussianHead(ydim + cfg.action_dim, 1, [cfg.head_hidden], rng)
         self.value_head = GaussianHead(ydim, 1, [cfg.head_hidden], rng)
         self.policy_head = GaussianHead(ydim, cfg.action_dim, [cfg.head_hidden], rng)
-
-        # instrumentation: how often each branch of the rollout loop ran
-        self.encoder_calls = 0
-        self.dynamics_calls = 0
 
     # -- observation handling ---------------------------------------------------
 
@@ -152,7 +143,6 @@ class InternalModel(Module):
 
     def posterior_update(self, e, h_next, x_prev, rng=None, noise=None):
         """Encoder branch: sample z from the posterior, estimate x from (e, h)."""
-        self.encoder_calls += 1
         e = ad.as_tensor(e)
         h_next = ad.as_tensor(h_next)
         dist = self.post_z(ad.concat([e, h_next], axis=-1))
@@ -163,25 +153,26 @@ class InternalModel(Module):
         return z, dist, x
 
     def prior_update(self, x_prev, h_next, rng=None, noise=None,
-                     floor_now=None, floor_next=None):
+                     floor_now=None, floor_next=None, floor_fn=None):
         """Dynamics branch: sample z from the prior; advance x by the learned
         wrench through the semi-implicit integrator with contact mode.
 
-        floor_now/floor_next override the terrain lookup (used in training
-        where the episode's floor heights are stored with the batch).
+        The floor heights come from `floor_fn` (a terrain lookup, inference)
+        or from `floor_now`/`floor_next` (the heights stored with a training
+        batch); with neither, the body is in free flight.
         """
-        self.dynamics_calls += 1
         h_next = ad.as_tensor(h_next)
         dist = self.prior_z(h_next)
         if noise is None and rng is None:
             noise = np.zeros(dist.mean.data.shape)
         z = dist.sample(rng=rng, noise=noise)
         wrench = self.wrench(h_next)
-        x = self.integrate(np.atleast_2d(x_prev), wrench, floor_now, floor_next)
+        x = self.integrate(np.atleast_2d(x_prev), wrench, floor_now, floor_next,
+                           floor_fn)
         return z, dist, x
 
     def integrate(self, x_prev: np.ndarray, wrench: Tensor,
-                  floor_now=None, floor_next=None) -> Tensor:
+                  floor_now=None, floor_next=None, floor_fn=None) -> Tensor:
         """Differentiable semi-implicit Euler step of the kinodynamic state
         under a predicted wrench, with support contact canceling gravity and
         planting the foot."""
@@ -191,8 +182,8 @@ class InternalModel(Module):
         x_prev = np.atleast_2d(np.asarray(x_prev, dtype=np.float64))
         n = x_prev.shape[0]
 
-        if floor_now is None and self.floor_fn is not None:
-            floor_now = np.asarray(self.floor_fn(x_prev[:, IDX_PX]))
+        if floor_fn is not None:
+            floor_now = np.asarray(floor_fn(x_prev[:, IDX_PX]))
         has_contact = floor_now is not None
         if has_contact:
             contact = foot_height(x_prev, body) <= np.asarray(floor_now) + body.contact_tol
@@ -218,12 +209,8 @@ class InternalModel(Module):
         pz_air = Tensor(x_prev[:, IDX_PZ]) + dt * vz2
 
         if has_contact:
-            if floor_next is not None:
-                fnext = np.asarray(floor_next, dtype=np.float64)
-            elif self.floor_fn is not None:
-                fnext = np.asarray(self.floor_fn(px2.data))
-            else:
-                fnext = np.asarray(floor_now, dtype=np.float64)
+            fnext = floor_fn(px2.data) if floor_fn is not None else floor_next
+            fnext = np.asarray(fnext, dtype=np.float64)
             pz_planted = Tensor(fnext + body.leg_length) + d2
             planted = contact & (vz2.data <= 0.0)
             pz2 = ad.where(planted, pz_planted, pz_air)
@@ -253,69 +240,66 @@ class InternalModel(Module):
     def internal_policy(self, x, h, z) -> DiagonalGaussian:
         return self.policy_head(self._y_input(x, h, z))
 
-    # -- imagination ---------------------------------------------------------------
+    # -- inference ---------------------------------------------------------------
 
-    def rollout_batch(self, x, h, z, e, horizon: int, rng=None, action_fn=None,
-                      posterior_first: bool = True):
-        """Core rollout loop over a batch of model states (inference only).
+    def step(self, x, h, z, a, rng=None, e=None, floor_fn=None):
+        """One model step of a batch (inference only): the GRU advances the
+        memory from (state features, latent, action), then the encoder branch
+        estimates (z, x) from the embedding `e` if given, otherwise the
+        dynamics prior predicts them. rng None draws zero latent noise.
 
-        action_fn(x, h, z, k) -> (action, mean, std) overrides the internal
-        policy (the planner's warm start drives this with the expert actor).
-        rng None makes every draw deterministic (means, zero latent noise).
+        Returns the next (x, h, z) as arrays.
+        """
+        gin = np.concatenate([x_features(x), z, a], axis=-1)
+        with no_grad():
+            h_next = self.gru(Tensor(gin), Tensor(h)).data
+            if e is not None:
+                z_next, _, x_next = self.posterior_update(e, h_next, x, rng=rng)
+            else:
+                z_next, _, x_next = self.prior_update(x, h_next, rng=rng,
+                                                      floor_fn=floor_fn)
+        return x_next.data, h_next, z_next.data
 
-        Returns (states (B,H,7), actions (B,H,m), means, stds, x1, h1, z1)
-        where (x1, h1, z1) is the batch state after the first step.
+    def rollout_batch(self, x, h, z, e, horizon: int, rng=None, floor_fn=None):
+        """Roll a batch `horizon` steps driven by the internal policy,
+        the first step through the encoder branch (embedding `e`), later ones
+        through the dynamics prior. rng None makes every draw deterministic
+        (policy means, zero latent noise); actions are clipped to [-1, 1].
+
+        Returns (states (B, H, 7), actions (B, H, m), (x1, h1, z1)) where
+        (x1, h1, z1) is the batch state after the first step.
         """
         if horizon < 1:
             raise ValueError(f"imagination horizon must be >= 1, got {horizon}")
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         h = np.atleast_2d(np.asarray(h, dtype=np.float64))
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        bsz = x.shape[0]
-        m = self.cfg.action_dim
-        states = np.zeros((bsz, horizon, X_DIM))
-        actions = np.zeros((bsz, horizon, m))
-        means = np.zeros((bsz, horizon, m))
-        stds = np.zeros((bsz, horizon, m))
-        first = None
-
+        states = np.zeros((x.shape[0], horizon, X_DIM))
+        actions = np.zeros((x.shape[0], horizon, self.cfg.action_dim))
         with no_grad():
-            e_t = ad.as_tensor(e) if e is not None else None
             for k in range(horizon):
-                if action_fn is not None:
-                    a, mu, sd = action_fn(x, h, z, k)
-                else:
-                    dist = self.internal_policy(x, h, z)
-                    a_t = dist.sample(rng=rng) if rng is not None else dist.mean
-                    a, mu, sd = a_t.data, dist.mean.data, dist.std
-                a = np.clip(a, -1.0, 1.0)
-                gin = np.concatenate([x_features(x), z, a], axis=-1)
-                h_next = self.gru(Tensor(gin), Tensor(h)).data
-                if k == 0 and posterior_first:
-                    zt, _, xt = self.posterior_update(e_t, h_next, x, rng=rng)
-                else:
-                    zt, _, xt = self.prior_update(x, h_next, rng=rng)
-                x, h, z = xt.data, h_next, zt.data
+                dist = self.internal_policy(x, h, z)
+                a_t = dist.sample(rng=rng) if rng is not None else dist.mean
+                a = np.clip(a_t.data, -1.0, 1.0)
+                x, h, z = self.step(x, h, z, a, rng=rng, e=e if k == 0 else None,
+                                    floor_fn=floor_fn)
                 states[:, k] = x
                 actions[:, k] = a
-                means[:, k] = mu
-                stds[:, k] = sd
                 if k == 0:
-                    first = (x.copy(), h.copy(), z.copy())
-        return states, actions, means, stds, first
+                    first = (x, h, z)
+        return states, actions, first
 
-    def imagine(self, y0: ModelState, e, horizon: int,
-                rng: np.random.Generator | None = None
-                ) -> tuple[ImaginedRollout, ModelState]:
-        """Roll the model forward: the first step conditions on the observation
-        embedding (encoder), later steps use the dynamics prior; actions come
-        from the internal policy. Returns the rollout and the post-posterior
-        model state."""
-        states, actions, _, _, first = self.rollout_batch(
-            y0.x[None], y0.h[None], y0.z[None], np.atleast_2d(e), horizon, rng=rng)
-        x1, h1, z1 = first
-        y1 = ModelState(x1[0], h1[0], z1[0])
-        return ImaginedRollout(states[0], actions[0], y1), y1
+    def tick(self, obs, x, h, z, rng=None, floor_fn=None):
+        """One model-rate refresh of a batch from its (B, obs_dim)
+        observations: embed, roll `imagination_horizon` steps from
+        (x, h, z), and return (x1, h1, z1, rollout_flat) with the
+        post-encoder state and the imagined states relative to x1, flattened
+        to (B, H * 7)."""
+        with no_grad():
+            e = self.embed(obs).data
+        states, _, (x1, h1, z1) = self.rollout_batch(
+            x, h, z, e, self.cfg.imagination_horizon, rng=rng, floor_fn=floor_fn)
+        return x1, h1, z1, relative_rollout(states, x1).reshape(x1.shape[0], -1)
 
     # -- training loss ----------------------------------------------------------------
 

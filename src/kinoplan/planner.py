@@ -23,8 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DimensionError
-from .state import (IDX_OFFSET, IDX_OMEGA, IDX_VX, IDX_VZ, ModelState, X_DIM,
-                    relative_rollout, x_features)
+from .state import IDX_OFFSET, IDX_OMEGA, IDX_VX, IDX_VZ, ModelState, X_DIM
 
 
 @dataclass
@@ -396,59 +395,55 @@ def _draw_first_action(plan: GaussianActionPlan, y0, model, cset: ConstraintSet,
 class ModelPlannerAdapter:
     """Bridges the internal model + expert actor to the planner surface.
 
-    Call begin_tick(obs_flat) once per control tick before planning; it fixes
-    the observation the warm start conditions on. After warm_start the fields
-    tick_rollout/tick_state expose the imagination products of the tick.
+    Every model step goes through `InternalModel.tick` (the warm start's
+    refresh from the observation) and `InternalModel.step` (the actor-driven
+    warm-start plan and each candidate step), with the terrain lookup
+    `floor_fn` of the current episode (None: free flight). Call
+    begin_tick(obs_flat) once per control tick before planning; it fixes the
+    observation the warm start conditions on. After warm_start, tick_state
+    holds the tick's post-encoder model state.
     """
 
-    def __init__(self, model, actor, sigma_floor: float = 1e-3):
+    def __init__(self, model, actor, sigma_floor: float = 1e-3, floor_fn=None):
         self.model = model
         self.actor = actor
         self.sigma_floor = sigma_floor
+        self.floor_fn = floor_fn
         self.obs_flat = None
-        self._e = None
-        self.tick_rollout = None
         self.tick_state = None
 
     def begin_tick(self, obs_flat: np.ndarray):
         self.obs_flat = np.asarray(obs_flat, dtype=np.float64)
-        with ad.no_grad():
-            self._e = self.model.embed(self.obs_flat[None]).data
 
     def warm_start(self, y_prev: ModelState, horizon: int, rng: np.random.Generator):
-        if self._e is None:
+        if self.obs_flat is None:
             raise RuntimeError("begin_tick() must be called before planning")
-        rollout, y1 = self.model.imagine(y_prev, self._e, horizon, rng=rng)
-        self.tick_rollout = rollout
-        self.tick_state = y1
-        rollout_flat = relative_rollout(rollout.states, y1.x).reshape(1, -1)
         obs = self.obs_flat[None]
-
-        def actor_plan(x, h, z, k):
+        x, h, z, rollout_flat = self.model.tick(
+            obs, y_prev.x[None], y_prev.h[None], y_prev.z[None], rng=rng,
+            floor_fn=self.floor_fn)
+        self.tick_state = ModelState(x[0], h[0], z[0])
+        means = np.zeros((horizon, self.model.cfg.action_dim))
+        stds = np.zeros_like(means)
+        for k in range(horizon):
             with ad.no_grad():
                 dist = self.actor(obs, h, rollout_flat)
-            mu = dist.mean.data
-            return mu, mu, dist.std
-
-        _, _, means, stds, _ = self.model.rollout_batch(
-            y1.x[None], y1.h[None], y1.z[None], None, horizon, rng=rng,
-            action_fn=actor_plan, posterior_first=False)
-        plan = GaussianActionPlan(means[0], np.maximum(stds[0], self.sigma_floor))
-        return y1, plan
+            means[k], stds[k] = dist.mean.data[0], dist.std[0]
+            x, h, z = self.model.step(x, h, z, np.clip(dist.mean.data, -1.0, 1.0),
+                                      rng=rng, floor_fn=self.floor_fn)
+        plan = GaussianActionPlan(means, np.maximum(stds, self.sigma_floor))
+        return self.tick_state, plan
 
     def begin(self, y0: ModelState, n: int) -> dict:
         return {"x": np.tile(y0.x, (n, 1)), "h": np.tile(y0.h, (n, 1)),
                 "z": np.tile(y0.z, (n, 1))}
 
     def step(self, batch: dict, actions: np.ndarray, rng: np.random.Generator):
+        x, h, z = batch["x"], batch["h"], batch["z"]
         with ad.no_grad():
-            x, h, z = batch["x"], batch["h"], batch["z"]
             r_mean = self.model.predict_reward(x, h, z, actions).mean.data[:, 0]
-            gin = np.concatenate([x_features(x), z, actions], axis=-1)
-            h_next = self.model.gru(ad.Tensor(gin), ad.Tensor(h)).data
-            z_next, _, x_next = self.model.prior_update(x, h_next, rng=rng)
-        return ({"x": x_next.data, "h": h_next, "z": z_next.data}, r_mean,
-                x_next.data)
+        x, h, z = self.model.step(x, h, z, actions, rng=rng, floor_fn=self.floor_fn)
+        return {"x": x, "h": h, "z": z}, r_mean, x
 
     def value_mean(self, batch: dict) -> np.ndarray:
         with ad.no_grad():

@@ -34,9 +34,6 @@ class ModelState:
     h: np.ndarray  # (d_h,)
     z: np.ndarray  # (d_z,)
 
-    def copy(self) -> "ModelState":
-        return ModelState(self.x.copy(), self.h.copy(), self.z.copy())
-
 
 @dataclass(frozen=True)
 class BodyParams:
@@ -75,15 +72,20 @@ def relative_rollout(states: np.ndarray, x_ref: np.ndarray) -> np.ndarray:
     return states
 
 
-def advance_free(x: np.ndarray, wrench: np.ndarray, dt: float, body: BodyParams,
-                 gravity_on: bool = True) -> np.ndarray:
-    """Semi-implicit Euler step with no ground interaction.
+def advance_state(x: np.ndarray, wrench: np.ndarray, dt: float, body: BodyParams,
+                  floor_at=None, gravity_on: bool = True) -> np.ndarray:
+    """Semi-implicit Euler step of x: (..., 7) under wrench: (..., 4) =
+    [f_x, f_z, torque, height_rate].
 
-    x: (..., 7); wrench: (..., 4) = [f_x, f_z, torque, height_rate].
+    Contact is decided per element from the current state: the foot at or
+    below the local floor plus tolerance. In contact the support force
+    cancels gravity, downward velocity is absorbed, and unless taking off the
+    body height is kinematic (foot planted on the floor at the new position).
+    floor_at maps horizontal positions to floor heights; None means free
+    flight everywhere.
     """
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(wrench, dtype=np.float64)
-    out = np.empty_like(x)
     g = body.gravity if gravity_on else 0.0
 
     d2 = np.clip(x[..., IDX_OFFSET] + dt * w[..., 3], body.offset_min, body.offset_max)
@@ -94,63 +96,14 @@ def advance_free(x: np.ndarray, wrench: np.ndarray, dt: float, body: BodyParams,
     vz2 = x[..., IDX_VZ] + dt * (w[..., 1] / body.mass - g)
     pz2 = x[..., IDX_PZ] + dt * vz2
 
-    out[..., IDX_PX] = px2
-    out[..., IDX_PZ] = pz2
-    out[..., IDX_PITCH] = th2
-    out[..., IDX_VX] = vx2
-    out[..., IDX_VZ] = vz2
-    out[..., IDX_OMEGA] = om2
-    out[..., IDX_OFFSET] = d2
-    return out
+    if floor_at is not None:
+        floor_now = np.asarray(floor_at(x[..., IDX_PX]), dtype=np.float64)
+        contact = foot_height(x, body) <= floor_now + body.contact_tol
+        lift = np.maximum(w[..., 1] / body.mass - g, 0.0)
+        vz_c = np.maximum(x[..., IDX_VZ], 0.0) + dt * lift
+        pz_planted = np.asarray(floor_at(px2), dtype=np.float64) + body.leg_length + d2
+        pz_c = np.where(vz_c > 0.0, x[..., IDX_PZ] + dt * vz_c, pz_planted)
+        vz2 = np.where(contact, vz_c, vz2)
+        pz2 = np.where(contact, pz_c, pz2)
 
-
-def advance_contact(x: np.ndarray, wrench: np.ndarray, dt: float, body: BodyParams,
-                    floor_at, gravity_on: bool = True) -> np.ndarray:
-    """Semi-implicit Euler step in contact mode: the support force cancels
-    gravity, downward velocity is absorbed, and while not taking off the body
-    height is kinematic (foot planted on the floor at the new position).
-
-    floor_at: callable mapping horizontal positions to floor heights.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(wrench, dtype=np.float64)
-    out = np.empty_like(x)
-    g = body.gravity if gravity_on else 0.0
-
-    d2 = np.clip(x[..., IDX_OFFSET] + dt * w[..., 3], body.offset_min, body.offset_max)
-    om2 = x[..., IDX_OMEGA] + dt * w[..., 2] / body.inertia
-    th2 = x[..., IDX_PITCH] + dt * om2
-    vx2 = x[..., IDX_VX] + dt * w[..., 0] / body.mass
-    px2 = x[..., IDX_PX] + dt * vx2
-
-    lift = np.maximum(w[..., 1] / body.mass - g, 0.0)
-    vz2 = np.maximum(x[..., IDX_VZ], 0.0) + dt * lift
-    pz_air = x[..., IDX_PZ] + dt * vz2
-    pz_planted = np.asarray(floor_at(px2), dtype=np.float64) + body.leg_length + d2
-    pz2 = np.where(vz2 > 0.0, pz_air, pz_planted)
-
-    out[..., IDX_PX] = px2
-    out[..., IDX_PZ] = pz2
-    out[..., IDX_PITCH] = th2
-    out[..., IDX_VX] = vx2
-    out[..., IDX_VZ] = vz2
-    out[..., IDX_OMEGA] = om2
-    out[..., IDX_OFFSET] = d2
-    return out
-
-
-def advance_state(x: np.ndarray, wrench: np.ndarray, dt: float, body: BodyParams,
-                  floor_at=None, gravity_on: bool = True) -> np.ndarray:
-    """Full step: contact is decided per element from the current state
-    (foot at or below the local floor plus tolerance); None floor_at means
-    free flight everywhere."""
-    x = np.asarray(x, dtype=np.float64)
-    free = advance_free(x, wrench, dt, body, gravity_on)
-    if floor_at is None:
-        return free
-    floor_now = np.asarray(floor_at(x[..., IDX_PX]), dtype=np.float64)
-    contact = foot_height(x, body) <= floor_now + body.contact_tol
-    if not np.any(contact):
-        return free
-    planted = advance_contact(x, wrench, dt, body, floor_at, gravity_on)
-    return np.where(contact[..., None], planted, free)
+    return np.stack([px2, pz2, th2, vx2, vz2, om2, d2], axis=-1)

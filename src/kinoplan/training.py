@@ -25,7 +25,7 @@ from .errors import ArtifactMismatchError, DataError, TrainingError
 from .model import InternalModel, LOSS_TERMS
 from .nn import Adam, clip_grad_norm, load_checkpoint, save_checkpoint
 from .policy import Actor, Critic
-from .state import IDX_PX, X_DIM, relative_rollout
+from .state import IDX_PX, X_DIM
 
 METRICS_SCHEMA_VERSION = 1
 RESUME_KIND = "kinoplan-resume"
@@ -129,7 +129,6 @@ class Collector:
 
     def __init__(self, num_envs: int, d_h: int, d_z: int, horizon: int):
         self.num_envs = num_envs
-        self.horizon = horizon
         self.x = np.zeros((num_envs, X_DIM))
         self.h = np.zeros((num_envs, d_h))
         self.z = np.zeros((num_envs, d_z))
@@ -192,22 +191,14 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
                 return np.array([tr.floor_height(si)
                                  for tr, si in zip(_terrains, s)])
 
-            model.floor_fn = multi_floor
-            try:
-                with no_grad():
-                    e = model.embed(obs[tick_ids]).data
-                states, _, _, _, first = model.rollout_batch(
-                    collector.x[tick_ids], collector.h[tick_ids],
-                    collector.z[tick_ids], e, collector.horizon, rng=rng)
-            finally:
-                model.floor_fn = None
-            x1, h1, z1 = first
+            x1, h1, z1, rollout_flat = model.tick(
+                obs[tick_ids], collector.x[tick_ids], collector.h[tick_ids],
+                collector.z[tick_ids], rng=rng, floor_fn=multi_floor)
             collector.x[tick_ids] = x1
             collector.h[tick_ids] = h1
             collector.z[tick_ids] = z1
             collector.h_cur[tick_ids] = h1
-            collector.rollout_cur[tick_ids] = relative_rollout(
-                states, x1).reshape(tick_ids.size, -1)
+            collector.rollout_cur[tick_ids] = rollout_flat
             for i in tick_ids:
                 x_now = envs.envs[i].state.x.copy()
                 collector.open_record[i] = {

@@ -53,6 +53,20 @@ def test_planner_horizon_must_equal_imagination_horizon(tmp_path, capsys):
     assert "planner.horizon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["checkpoint_every", "curriculum_window"])
+def test_train_window_fields_must_be_positive(tmp_path, capsys, name):
+    with pytest.raises(ConfigError) as err:
+        smoke_config(0, train={name: 0})
+    assert err.value.field == f"train.{name}"
+
+    data = smoke_config(0).to_dict()
+    data["train"][name] = 0
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+    assert f"train.{name}" in capsys.readouterr().err
+
+
 def test_train_creates_run_directory(tmp_path):
     cfg_path = _write_config(tmp_path, train=TINY_TRAIN)
     out = tmp_path / "run"

@@ -40,7 +40,7 @@ def test_constant_force_frictionless_velocity():
 def test_gap_free_fall_rate():
     env = make_env(terrain_kind="gap", terrain_level=4)
     env.reset()
-    env.set_state(np.array([2.5, 1.5, 0, 0, 0, 0, 0]))
+    env.state.x = np.array([2.5, 1.5, 0, 0, 0, 0, 0])
     prev = 0.0
     for _ in range(3):
         env.step(np.zeros(ACTION_DIM))
@@ -73,7 +73,7 @@ def test_energy_conservation_in_free_flight():
     env = make_env(frictionless=True)
     env.reset()
     m, g = env.cfg.body.mass, env.cfg.body.gravity
-    env.set_state(np.array([0.0, 25.0, 0.0, 2.0, 0.0, 0.0, 0.0]))
+    env.state.x = np.array([0.0, 25.0, 0.0, 2.0, 0.0, 0.0, 0.0])
     x = env.state.x
 
     def energy(x):
@@ -107,7 +107,7 @@ def test_pitch_termination():
 def test_crawl_ceiling_collision_terminates():
     env = make_env(terrain_kind="crawl", terrain_level=8)
     env.reset()
-    env.set_state(np.array([3.5, 0.5, 0, 0.5, 0, 0, 0]))  # standing under the slab
+    env.state.x = np.array([3.5, 0.5, 0, 0.5, 0, 0, 0])  # standing under the slab
     _, _, _, _, done, info = env.step(np.zeros(ACTION_DIM))
     assert done and info["termination"] == "collision"
     assert info["events"].get("collision")
@@ -116,7 +116,7 @@ def test_crawl_ceiling_collision_terminates():
 def test_gap_fall_terminates():
     env = make_env(terrain_kind="gap", terrain_level=8)
     env.reset()
-    env.set_state(np.array([2.5, 0.5, 0, 0, 0, 0, 0]))  # over the gap, falling
+    env.state.x = np.array([2.5, 0.5, 0, 0, 0, 0, 0])  # over the gap, falling
     done = False
     for _ in range(100):
         _, _, _, _, done, info = env.step(np.zeros(ACTION_DIM))

@@ -132,12 +132,11 @@ def test_prior_zero_wrench_gravity_off_equilibrium(rng):
 
 def test_prior_zero_wrench_contact_support(model, rng):
     _zero_wrench(model)
-    model.floor_fn = lambda s: np.zeros_like(np.asarray(s, dtype=float))
+    floor = lambda s: np.zeros_like(np.asarray(s, dtype=float))
     x_prev = np.zeros((1, X_DIM))
     x_prev[0, 1] = BODY.leg_length  # standing, foot on floor
     h = rng.normal(size=(1, CFG.d_h)) * 0.1
-    _, _, x = model.prior_update(x_prev, h, noise=np.zeros((1, CFG.d_z)))
-    model.floor_fn = None
+    _, _, x = model.prior_update(x_prev, h, noise=np.zeros((1, CFG.d_z)), floor_fn=floor)
     assert x.data[0, 4] == 0.0                                # v_z unchanged
     assert x.data[0, 1] == pytest.approx(BODY.leg_length)     # planted
 
@@ -182,33 +181,51 @@ def test_prior_wrench_gradient(model, rng):
 
 # -- imagination --------------------------------------------------------------------
 
-def test_imagine_single_step_uses_posterior(model, rng):
-    model.encoder_calls = model.dynamics_calls = 0
-    rollout, y1 = model.imagine(_y0(rng), model.embed(_obs(rng)).data, 1, rng=rng)
-    assert rollout.states.shape == (1, X_DIM)
-    assert model.encoder_calls == 1 and model.dynamics_calls == 0
-    assert np.array_equal(rollout.states[0], y1.x)
+def _rollout(model, y0, e, horizon, rng):
+    return model.rollout_batch(y0.x[None], y0.h[None], y0.z[None], e, horizon, rng=rng)
+
+
+def _count_branches(model, monkeypatch):
+    calls = {"posterior": 0, "prior": 0}
+
+    def spy(name, real):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapped
+
+    for name, method in (("posterior", "posterior_update"), ("prior", "prior_update")):
+        monkeypatch.setattr(model, method, spy(name, getattr(model, method)))
+    return calls
+
+
+def test_imagine_single_step_uses_posterior(model, rng, monkeypatch):
+    calls = _count_branches(model, monkeypatch)
+    states, _, (x1, _, _) = _rollout(model, _y0(rng), model.embed(_obs(rng)).data, 1, rng)
+    assert states[0].shape == (1, X_DIM)
+    assert calls == {"posterior": 1, "prior": 0}
+    assert np.array_equal(states[0, 0], x1[0])
 
 
 @pytest.mark.parametrize("horizon", [1, 4, 8])
-def test_imagine_branch_discipline(model, rng, horizon):
-    model.encoder_calls = model.dynamics_calls = 0
-    model.imagine(_y0(rng), model.embed(_obs(rng)).data, horizon, rng=rng)
-    assert model.encoder_calls == 1
-    assert model.dynamics_calls == horizon - 1
+def test_imagine_branch_discipline(model, rng, monkeypatch, horizon):
+    calls = _count_branches(model, monkeypatch)
+    _rollout(model, _y0(rng), model.embed(_obs(rng)).data, horizon, rng)
+    assert calls["posterior"] == 1
+    assert calls["prior"] == horizon - 1
 
 
 def test_imagine_deterministic_with_zero_noise(model, rng):
     e = model.embed(_obs(rng)).data
-    r1, _ = model.imagine(_y0(rng), e, 4, rng=None)
-    r2, _ = model.imagine(_y0(rng), e, 4, rng=None)
-    assert r1.states.tobytes() == r2.states.tobytes()
-    assert r1.actions.tobytes() == r2.actions.tobytes()
+    s1, a1, _ = _rollout(model, _y0(rng), e, 4, None)
+    s2, a2, _ = _rollout(model, _y0(rng), e, 4, None)
+    assert s1.tobytes() == s2.tobytes()
+    assert a1.tobytes() == a2.tobytes()
 
 
 def test_imagine_horizon_below_one_raises(model, rng):
     with pytest.raises(ValueError):
-        model.imagine(_y0(rng), model.embed(_obs(rng)).data, 0, rng=rng)
+        _rollout(model, _y0(rng), model.embed(_obs(rng)).data, 0, rng)
 
 
 def test_imagine_first_state_monte_carlo_mean(model, rng):
@@ -219,14 +236,14 @@ def test_imagine_first_state_monte_carlo_mean(model, rng):
     model.policy_head.log_std_layer.bias.data[:] = -3.0
     e = model.embed(_obs(rng)).data
     y0 = _y0(rng)
-    ref, _ = model.imagine(y0, e, 1, rng=None)
+    ref, _, _ = _rollout(model, y0, e, 1, None)
     samples = np.zeros((1000, X_DIM))
     for i in range(1000):
-        r, _ = model.imagine(y0, e, 1, rng=rng)
-        samples[i] = r.states[0]
+        states, _, _ = _rollout(model, y0, e, 1, rng)
+        samples[i] = states[0, 0]
     mean = samples.mean(axis=0)
     sem = samples.std(axis=0) / np.sqrt(len(samples)) + 1e-12
-    assert np.all(np.abs(mean - ref.states[0]) <= 3.0 * sem + 1e-9)
+    assert np.all(np.abs(mean - ref[0, 0]) <= 3.0 * sem + 1e-9)
 
 
 # -- loss ---------------------------------------------------------------------------

@@ -6,9 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kinoplan import evaluate
-from kinoplan.config import smoke_config
-from kinoplan.env import PlanarEnv
 from kinoplan.errors import ConfigError, DimensionError
 from kinoplan.model import InternalModel, ModelConfig
 from kinoplan.planner import (ConstraintSet, DiagnosticTrace, GaussianActionPlan,
@@ -239,9 +236,11 @@ def _mini_agent(rng):
 def test_warm_start_first_step_matches_direct_actor_call(rng):
     adapter, y0 = _mini_agent(rng)
     y1, plan = adapter.warm_start(y0, 3, np.random.default_rng(0))
-    from kinoplan.state import relative_rollout
-    roll_flat = relative_rollout(adapter.tick_rollout.states, y1.x).reshape(1, -1)
-    direct = adapter.actor(adapter.obs_flat[None], y1.h[None], roll_flat).mean.data[0]
+    obs = adapter.obs_flat[None]
+    x1, h1, _, roll_flat = adapter.model.tick(obs, y0.x[None], y0.h[None], y0.z[None],
+                                              rng=np.random.default_rng(0))
+    assert x1[0].tobytes() == y1.x.tobytes() and h1[0].tobytes() == y1.h.tobytes()
+    direct = adapter.actor(obs, y1.h[None], roll_flat).mean.data[0]
     assert np.max(np.abs(plan.mean[0] - direct)) < 1e-12
 
 
@@ -320,24 +319,6 @@ def test_mppi_executed_action_in_box(rng):
         assert trace.predicted_pz.shape == (3,)
         # offset 0 is the tick's posterior state estimate
         assert trace.predicted_pz[0] == pytest.approx(adapter.tick_state.x[1])
-
-
-def test_planner_episode_clears_floor_lookup_on_error(monkeypatch):
-    cfg = smoke_config(0)
-    rng = np.random.default_rng(0)
-    model = InternalModel(cfg.model, cfg.env.body, rng)
-    actor = Actor(cfg.env.obs_dim, cfg.model.d_h, cfg.model.imagination_horizon,
-                  cfg.model.action_dim, rng)
-
-    def failing_plan(*args, **kwargs):
-        assert model.floor_fn is not None   # set for the episode's terrain
-        raise RuntimeError("planner failed")
-
-    monkeypatch.setattr(evaluate, "mppi_plan", failing_plan)
-    with pytest.raises(RuntimeError, match="planner failed"):
-        evaluate.run_planner_episode(PlanarEnv(cfg.env, seed=0), model, actor, cfg,
-                                     0, rng)
-    assert model.floor_fn is None
 
 
 def test_trace_json_schema(rng):

@@ -352,21 +352,6 @@ def test_resume_keeps_halved_learning_rates(tmp_path, monkeypatch):
     assert "resume_state.kpt" in os.listdir(out)
 
 
-def test_collect_clears_floor_lookup_on_error(tmp_path, monkeypatch):
-    cfg, tr = _setup()
-
-    def failing_rollout(*args, **kwargs):
-        assert tr.model.floor_fn is not None
-        raise RuntimeError("rollout failed")
-
-    monkeypatch.setattr(tr.model, "rollout_batch", failing_rollout)
-    with pytest.raises(RuntimeError, match="rollout failed"):
-        collect_rollouts(tr.actor, tr.critic, tr.model, tr.envs, tr.obs, tr.priv, 5,
-                         cfg.steps_per_tick, tr.rng_collect, tr.collector, tr.replay,
-                         0.99, 0.95)
-    assert tr.model.floor_fn is None
-
-
 @pytest.mark.slow
 def test_smoke_training_return_improves(tmp_path):
     """2 envs, 200 iterations, flat terrain: the moving-average return at the
