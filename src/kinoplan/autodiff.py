@@ -32,10 +32,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class Tensor:
     """An n-d array with an optional gradient accumulator and tape node."""
 
@@ -63,16 +59,9 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag}, requires_grad={self.requires_grad})"
-
-    def detach(self) -> "Tensor":
-        """A view of the same values with no tape history (stop-gradient)."""
-        return Tensor(self.data)
 
     def zero_grad(self):
         self.grad = None
@@ -302,14 +291,6 @@ def elu(a) -> Tensor:
         return Tensor(data)
     local = np.where(a.data > 0.0, 1.0, neg + 1.0)
     return _node(data, (a,), lambda g: (g * local,))
-
-
-def softplus(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.logaddexp(0.0, a.data)
-    if not _tracked(a):
-        return Tensor(data)
-    return _node(data, (a,), lambda g: (g * 0.5 * (np.tanh(0.5 * a.data) + 1.0),))
 
 
 def relu(a) -> Tensor:

@@ -2,9 +2,18 @@
 
 A single rigid body with a height-adjustable point-foot support leg crosses
 1-D terrain under a wrench action [force_x, force_z, torque, height_rate]
-(physical units). Semi-implicit Euler at 50 Hz with a planted-foot contact
-mode, Coulomb drag, step-riser blocking, and the synthetic depth scan
-refreshed at the 10 Hz sensor rate.
+(physical units) at 50 Hz. The integration (semi-implicit Euler with a
+planted-foot contact mode and Coulomb drag) lives in `state.advance_state`;
+`PlanarEnv.step` adds only the simulator's extras around it: weak body
+forces in the air, step-riser blocking and the landing clamp. The synthetic
+depth scan is refreshed at the 10 Hz sensor rate.
+
+`reset` and `step` return flat observations:
+
+    obs  = [proprio history (history_len x PROPRIO_DIM, oldest row first),
+            depth scan (scan_rays)]
+    priv = [obs, scan dots (SCAN_DOT_COUNT floor heights relative to p_z),
+            v_x, v_z, pitch_rate, contact force, mass, friction]
 """
 
 from __future__ import annotations
@@ -16,11 +25,12 @@ import numpy as np
 
 from .errors import ConfigError
 from .state import (BodyParams, IDX_OFFSET, IDX_OMEGA, IDX_PITCH, IDX_PX, IDX_PZ,
-                    IDX_VX, IDX_VZ, X_DIM)
+                    IDX_VX, IDX_VZ, X_DIM, advance_state)
 from .terrain import MAX_LEVEL, TerrainProfile, build_terrain, render_depth_scan
 
 PROPRIO_DIM = 9          # [d, d_rate, sin pitch, cos pitch, v_cmd, prev_action(4)]
 SCAN_DOT_COUNT = 11
+SCAN_DOT_OFFSETS = np.linspace(-0.5, 1.5, SCAN_DOT_COUNT)   # floor probes around p_x
 PRIV_EXTRA_DIM = SCAN_DOT_COUNT + 3 + 1 + 2   # scan dots, twist, contact force, mass, mu
 
 # Reward scales (quadruped column). Each raw term is defined so that the
@@ -102,30 +112,6 @@ class SimState:
     rng: np.random.Generator
 
 
-@dataclass
-class Observation:
-    proprio_history: np.ndarray   # (M, PROPRIO_DIM), oldest -> newest
-    depth_scan: np.ndarray        # (K,), values in (0, max_range]
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.proprio_history.ravel(), self.depth_scan])
-
-
-@dataclass
-class PrivilegedObservation:
-    observation: Observation
-    scan_dots: np.ndarray         # floor heights relative to body on a fixed grid
-    base_twist: np.ndarray        # (v_x, v_z, pitch_rate)
-    contact_force: float
-    mass: float
-    friction: float
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([
-            self.observation.flat(), self.scan_dots, self.base_twist,
-            [self.contact_force, self.mass, self.friction]])
-
-
 def lin_tracking_reward(v: float, v_cmd: float, sigma: float) -> float:
     """Clipped velocity-tracking kernel: overspeed beyond v_cmd + 0.1 plateaus."""
     if sigma <= 0:
@@ -189,7 +175,7 @@ class PlanarEnv:
     # -- lifecycle -------------------------------------------------------------
 
     def reset(self, level: int | None = None, terrain: TerrainProfile | None = None
-              ) -> tuple[Observation, PrivilegedObservation]:
+              ) -> tuple[np.ndarray, np.ndarray]:
         cfg = self.cfg
         episode_rng = np.random.default_rng(self.rng.integers(0, 2**63 - 1))
         if terrain is None:
@@ -214,7 +200,7 @@ class PlanarEnv:
         self._scan = render_depth_scan(x, terrain, cfg.scan_rays, cfg.scan_max_range)
         row = self._proprio_row(x, 0.0, self._prev_action)
         self._history = np.tile(row, (cfg.history_len, 1))
-        return self._observe(), self._observe_priv()
+        return self._observe()
 
     def snapshot(self) -> dict:
         """The env's state as a dict/list tree of plain values and arrays."""
@@ -242,70 +228,51 @@ class PlanarEnv:
         Returns (obs, priv_obs, reward, reward_terms, done, info); info carries
         the event flags, termination reason, and success flag.
         """
-        cfg = self.cfg
-        st = self.state
-        body = cfg.body
+        cfg, st, body = self.cfg, self.state, self.cfg.body
         lo, hi = cfg.action_box()
         a = np.clip(np.asarray(action, dtype=np.float64), lo, hi)
 
         if not np.isfinite(st.x).all():
             return self._fault({})
 
-        px, pz, th, vx, vz, om, d = st.x
-        g = body.gravity if cfg.gravity_on else 0.0
-        dt = cfg.dt
+        x = st.x
+        px, pz, d = x[IDX_PX], x[IDX_PZ], x[IDX_OFFSET]
         floor_here = float(self.terrain.floor_height(px))
         contact = (pz - (body.leg_length + d)) <= floor_here + body.contact_tol
-        fscale = 1.0 if contact else body.air_force_scale
-        fx, fz = a[0] * fscale, a[1] * fscale
-        tau, drate = a[2], a[3]
-
-        d2 = float(np.clip(d + dt * drate, body.offset_min, body.offset_max))
-        height_rate = (d2 - d) / dt
-        om2 = om + dt * tau / body.inertia
-        th2 = th + dt * om2
-        vx2 = vx + dt * fx / body.mass
-        if contact and self._friction > 0.0:
-            dv = min(self._friction * body.gravity * dt, abs(vx2))
-            vx2 -= math.copysign(dv, vx2)
-        px2 = px + dt * vx2
-
-        if contact:
-            vz2 = max(vz, 0.0) + dt * max(fz / body.mass - g, 0.0)
-        else:
-            vz2 = vz + dt * (fz / body.mass - g)
-        pz2_free = pz + dt * vz2
+        wrench = a.copy()
+        if not contact:
+            wrench[:2] *= body.air_force_scale
+        x2 = advance_state(x, wrench, cfg.dt, body, self.terrain.floor_height,
+                           cfg.gravity_on, friction=self._friction)
+        px2, pz2, th2, vx2, vz2, om2, d2 = x2
+        height_rate = (d2 - d) / cfg.dt
+        planted = contact and vz2 <= 0.0
 
         events = {}
-        # step-riser blocking: the foot cannot slide into a rise taller than tol
+        # step-riser blocking: the foot cannot slide into a rise taller than tol;
+        # a planted foot has not moved vertically before it is re-planted
         floor_ahead = float(self.terrain.floor_height(px2))
-        foot_free = pz2_free - (body.leg_length + d2)
+        foot_free = (pz if planted else pz2) - (body.leg_length + d2)
         if floor_ahead - foot_free > cfg.step_up_tol:
             events["stumble"] = True
-            px2, vx2 = px, 0.0
-            floor_ahead = floor_here
-
-        if contact and vz2 <= 0.0:
-            pz2 = floor_ahead + body.leg_length + d2   # planted foot
-            vz2 = 0.0
-        else:
-            pz2 = pz2_free
-            if pz2 - (body.leg_length + d2) < floor_ahead:   # landed through floor
-                pz2 = floor_ahead + body.leg_length + d2
-                vz2 = max(vz2, 0.0)
+            px2, vx2, floor_ahead = px, 0.0, floor_here
+            if planted:
+                pz2 = floor_here + body.leg_length + d2
+        if not planted and pz2 - (body.leg_length + d2) < floor_ahead:
+            pz2 = floor_ahead + body.leg_length + d2   # landed through floor
+            vz2 = max(vz2, 0.0)
 
         x2 = np.array([px2, pz2, th2, vx2, vz2, om2, d2])
         if not np.isfinite(x2).all():
             return self._fault(events)
 
-        contact2 = (pz2 - (body.leg_length + d2)) <= float(
-            self.terrain.floor_height(px2)) + body.contact_tol
+        contact2 = (pz2 - (body.leg_length + d2)) <= floor_ahead + body.contact_tol
 
         # events
         if contact2:
             if self._air_steps > 0:
                 events["landed"] = True
-                events["air_time"] = min(self._air_steps * dt, cfg.air_time_cap)
+                events["air_time"] = min(self._air_steps * cfg.dt, cfg.air_time_cap)
             self._air_steps = 0
             disc = self.terrain.discontinuities
             if disc.size and np.min(np.abs(disc - px2)) <= cfg.edge_margin:
@@ -322,8 +289,7 @@ class PlanarEnv:
 
         termination = None
         ceiling = float(self.terrain.ceiling_height(px2))
-        if pz2 + body.body_half_height > ceiling or pz2 - body.body_half_height < float(
-                self.terrain.floor_height(px2)):
+        if pz2 + body.body_half_height > ceiling or pz2 - body.body_half_height < floor_ahead:
             events["collision"] = True
             termination = "collision"
         elif pz2 < self.terrain.fall_z + body.leg_length + body.offset_min:
@@ -359,14 +325,14 @@ class PlanarEnv:
         info = {"events": events, "termination": termination, "success": bool(success),
                 "fault": False, "episode_return": self._episode_return,
                 "episode_steps": st.step_count}
-        return self._observe(), self._observe_priv(), reward, terms, done, info
+        return *self._observe(), reward, terms, done, info
 
     def _fault(self, events):
         """End the episode on a non-finite state, with no reward."""
         info = {"events": dict(events), "termination": "fault", "success": False,
                 "fault": True, "episode_return": self._episode_return,
                 "episode_steps": self.state.step_count}
-        return self._observe(), self._observe_priv(), 0.0, {}, True, info
+        return *self._observe(), 0.0, {}, True, info
 
     # -- observations -------------------------------------------------------------
 
@@ -375,22 +341,15 @@ class PlanarEnv:
             [x[IDX_OFFSET], height_rate, math.sin(x[IDX_PITCH]), math.cos(x[IDX_PITCH]),
              self.state.v_cmd], self.cfg.to_normalized(action)])
 
-    def _observe(self) -> Observation:
-        return Observation(self._history.copy(), self._scan.copy())
-
-    def _observe_priv(self) -> PrivilegedObservation:
-        cfg, st, body = self.cfg, self.state, self.cfg.body
-        grid = st.x[IDX_PX] + np.linspace(-0.5, 1.5, SCAN_DOT_COUNT)
-        dots = self.terrain.floor_height(grid) - st.x[IDX_PZ]
+    def _observe(self) -> tuple[np.ndarray, np.ndarray]:
+        """The flat (obs, priv) pair; layouts in the module docstring."""
+        st, body = self.state, self.cfg.body
+        obs = np.concatenate([self._history.ravel(), self._scan])
+        dots = self.terrain.floor_height(st.x[IDX_PX] + SCAN_DOT_OFFSETS) - st.x[IDX_PZ]
         force = max(0.0, body.mass * body.gravity - self._prev_action[1]) if st.contact else 0.0
-        return PrivilegedObservation(
-            observation=self._observe(),
-            scan_dots=dots,
-            base_twist=st.x[[IDX_VX, IDX_VZ, IDX_OMEGA]].copy(),
-            contact_force=force,
-            mass=body.mass,
-            friction=self._friction,
-        )
+        priv = np.concatenate([obs, dots, st.x[[IDX_VX, IDX_VZ, IDX_OMEGA]],
+                               [force, body.mass, self._friction]])
+        return obs, priv
 
 
 class EnvBatch:
@@ -408,8 +367,8 @@ class EnvBatch:
         obs, priv = [], []
         for env in self.envs:
             o, p = env.reset(level=self.level)
-            obs.append(o.flat())
-            priv.append(p.flat())
+            obs.append(o)
+            priv.append(p)
         return np.stack(obs), np.stack(priv)
 
     def step(self, actions: np.ndarray):
@@ -425,10 +384,9 @@ class EnvBatch:
                 info["terminal_x"] = env.state.x.copy()
                 info["terminal_floor"] = float(
                     env.terrain.floor_height(env.state.x[0]))
-                o2, p2 = env.reset(level=self.level)
-                o, p = o2, p2
-            obs.append(o.flat())
-            priv.append(p.flat())
+                o, p = env.reset(level=self.level)
+            obs.append(o)
+            priv.append(p)
             rewards.append(r)
             dones.append(done)
             infos.append(info)

@@ -68,10 +68,10 @@ def run_policy_episode(env: PlanarEnv, model: InternalModel, actor: Actor,
     info = {}
     while not done:
         if phase % config.steps_per_tick == 0:
-            x, h, z, rollout_flat = model.tick(obs.flat()[None], x, h, z,
+            x, h, z, rollout_flat = model.tick(obs[None], x, h, z,
                                                floor_fn=env.terrain.floor_height)
         with no_grad():
-            a = actor(obs.flat()[None], h, rollout_flat).mean.data[0]
+            a = actor(obs[None], h, rollout_flat).mean.data[0]
         obs, _, _, _, done, info = env.step(env.cfg.to_physical(np.clip(a, -1.0, 1.0)))
         phase += 1
     return EpisodeOutcome(info["episode_return"], info["success"],
@@ -96,7 +96,7 @@ def run_planner_episode(env: PlanarEnv, model: InternalModel, actor: Actor,
     traces = [] if keep_traces else None
     call_index = 0
     while not done:
-        adapter.begin_tick(obs.flat())
+        adapter.begin_tick(obs)
         a0, plan_prev, trace = mppi_plan(
             None if call_index == 0 else plan_prev, y_prev, adapter, pcfg,
             config.constraints, rng, call_index=call_index)
@@ -134,14 +134,11 @@ def run_episode(mode: str, env, model, actor, config, level, rng,
 
 def evaluate(checkpoint: str, terrains: list[str], levels: list[int],
              seeds: list[int], episodes: int, modes: list[str],
-             out_dir: str | None = None,
-             config_override: ExperimentConfig | None = None) -> dict:
+             out_dir: str | None = None) -> dict:
     """E episodes per (terrain, level, seed, mode); statistics are aggregated
     over seeds with their sample counts. Writes report.json/report.csv and a
     planner trace JSONL when out_dir is given."""
     config, model, actor, _ = load_agent(checkpoint)
-    if config_override is not None:
-        config = config_override
     for mode in modes:
         if mode not in EVAL_MODES:
             raise ConfigError("mode", f"unknown mode '{mode}'")

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 
@@ -81,10 +82,7 @@ def param_checksum(module: Module) -> str:
 
 _ACTIVATIONS = {
     "linear": lambda t: t,
-    "tanh": ad.tanh,
     "elu": ad.elu,
-    "sigmoid": ad.sigmoid,
-    "softplus": ad.softplus,
 }
 
 
@@ -333,6 +331,9 @@ def clip_grad_norm(params: dict[str, Tensor] | list[Tensor], max_norm: float) ->
 # deterministic for identical content.
 
 
+_CHECKPOINT_DTYPES = ("<f8", "<i8")   # the dtypes save_checkpoint writes
+
+
 def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = None):
     table = []
     buffers = []
@@ -368,17 +369,34 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         if version != CHECKPOINT_FORMAT_VERSION:
             raise ArtifactMismatchError(
                 f"checkpoint format version {version}, expected {CHECKPOINT_FORMAT_VERSION}")
+        _check_header(header, path)
+        # both accepted dtypes are 8 bytes wide
+        declared = sum(8 * math.prod(entry["shape"]) for entry in header["tensors"])
+        if declared > os.fstat(f.fileno()).st_size - f.tell():
+            raise ArtifactMismatchError(f"truncated checkpoint: {path}")
         arrays = {}
         digest = hashlib.sha256()
         for entry in header["tensors"]:
             dtype = np.dtype(entry["dtype"])
             shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = f.read(count * dtype.itemsize)
-            if len(buf) != count * dtype.itemsize:
-                raise ArtifactMismatchError(f"truncated checkpoint: {path}")
+            buf = f.read(math.prod(shape) * dtype.itemsize)
             digest.update(buf)
             arrays[entry["name"]] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
     if header.get("sha256") != digest.hexdigest():
         raise ArtifactMismatchError(f"checkpoint contents do not match their SHA-256: {path}")
     return arrays, header.get("meta", {})
+
+
+def _check_header(header: dict, path):
+    """Reject a header whose tensor table or metadata save_checkpoint cannot
+    have written."""
+    def well_formed(entry):
+        return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and entry.get("dtype") in _CHECKPOINT_DTYPES
+                and isinstance(entry.get("shape"), list)
+                and all(isinstance(n, int) and n >= 0 for n in entry["shape"]))
+
+    tensors = header.get("tensors")
+    if not (isinstance(tensors, list) and all(map(well_formed, tensors))
+            and isinstance(header.get("meta", {}), dict)):
+        raise ArtifactMismatchError(f"malformed checkpoint header: {path}")

@@ -7,6 +7,10 @@ learned model, and the planner's constraint checks:
 
 `height_offset` is the crouch/extend proxy for joint state: the support leg
 length is ``leg_length + height_offset``.
+
+`advance_state` is the simulator's integrator: `PlanarEnv.step` advances
+the body through it. `InternalModel.integrate` is its autodiff twin, pinned
+to it by tests.
 """
 
 from __future__ import annotations
@@ -73,37 +77,45 @@ def relative_rollout(states: np.ndarray, x_ref: np.ndarray) -> np.ndarray:
 
 
 def advance_state(x: np.ndarray, wrench: np.ndarray, dt: float, body: BodyParams,
-                  floor_at=None, gravity_on: bool = True) -> np.ndarray:
+                  floor_at=None, gravity_on: bool = True, friction=0.0) -> np.ndarray:
     """Semi-implicit Euler step of x: (..., 7) under wrench: (..., 4) =
-    [f_x, f_z, torque, height_rate].
+    [f_x, f_z, torque, height_rate], either of x's leading shape or one
+    wrench for all.
 
     Contact is decided per element from the current state: the foot at or
-    below the local floor plus tolerance. In contact the support force
-    cancels gravity, downward velocity is absorbed, and unless taking off the
-    body height is kinematic (foot planted on the floor at the new position).
-    floor_at maps horizontal positions to floor heights; None means free
-    flight everywhere.
+    below the local floor plus tolerance. In contact, Coulomb drag with the
+    coefficient `friction` (0 = none; a scalar, or one per state of a (B, 7)
+    batch) slows v_x by at most friction * gravity * dt before p_x advances,
+    the support force cancels gravity, downward velocity is absorbed, and
+    unless taking off the body height is kinematic (foot planted on the
+    floor at the new position). floor_at maps horizontal positions to floor
+    heights; None means free flight everywhere.
     """
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(wrench, dtype=np.float64)
+    # Unpacking the columns with .T, and indexing each np.where result with
+    # [()], keeps a single state's values numpy scalars rather than 0-d
+    # arrays, whose ufunc calls cost several times more in the simulator's
+    # per-env step.
+    px, pz, th, vx, vz, om, d = np.asarray(x, dtype=np.float64).T
+    fx, fz, tau, drate = np.asarray(wrench, dtype=np.float64).T
     g = body.gravity if gravity_on else 0.0
 
-    d2 = np.clip(x[..., IDX_OFFSET] + dt * w[..., 3], body.offset_min, body.offset_max)
-    om2 = x[..., IDX_OMEGA] + dt * w[..., 2] / body.inertia
-    th2 = x[..., IDX_PITCH] + dt * om2
-    vx2 = x[..., IDX_VX] + dt * w[..., 0] / body.mass
-    px2 = x[..., IDX_PX] + dt * vx2
-    vz2 = x[..., IDX_VZ] + dt * (w[..., 1] / body.mass - g)
-    pz2 = x[..., IDX_PZ] + dt * vz2
+    d2 = np.minimum(np.maximum(d + dt * drate, body.offset_min), body.offset_max)
+    om2 = om + dt * tau / body.inertia
+    th2 = th + dt * om2
+    vx2 = vx + dt * fx / body.mass
+    vz2 = vz + dt * (fz / body.mass - g)
 
-    if floor_at is not None:
-        floor_now = np.asarray(floor_at(x[..., IDX_PX]), dtype=np.float64)
-        contact = foot_height(x, body) <= floor_now + body.contact_tol
-        lift = np.maximum(w[..., 1] / body.mass - g, 0.0)
-        vz_c = np.maximum(x[..., IDX_VZ], 0.0) + dt * lift
-        pz_planted = np.asarray(floor_at(px2), dtype=np.float64) + body.leg_length + d2
-        pz_c = np.where(vz_c > 0.0, x[..., IDX_PZ] + dt * vz_c, pz_planted)
-        vz2 = np.where(contact, vz_c, vz2)
-        pz2 = np.where(contact, pz_c, pz2)
+    if floor_at is None:
+        px2 = px + dt * vx2
+        pz2 = pz + dt * vz2
+    else:
+        contact = pz - (body.leg_length + d) <= floor_at(px) + body.contact_tol
+        dv = np.minimum(friction * body.gravity * dt, np.abs(vx2))
+        vx2 = np.where(contact & (friction > 0.0), vx2 - np.copysign(dv, vx2), vx2)[()]
+        px2 = px + dt * vx2
+        vz_c = np.maximum(vz, 0.0) + dt * np.maximum(fz / body.mass - g, 0.0)
+        vz2 = np.where(contact, vz_c, vz2)[()]
+        planted = contact & (vz2 <= 0.0)
+        pz2 = np.where(planted, floor_at(px2) + body.leg_length + d2, pz + dt * vz2)[()]
 
-    return np.stack([px2, pz2, th2, vx2, vz2, om2, d2], axis=-1)
+    return np.array([px2, pz2, th2, vx2, vz2, om2, d2]).T

@@ -8,7 +8,6 @@ parameter of each kind linearly.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,21 +37,6 @@ def gap_width(level: int) -> float:
 
 def crawl_clearance(level: int, standing_top: float = 0.6) -> float:
     return standing_top * (1.0 - 0.4 * level / MAX_LEVEL)
-
-
-def difficulty_parameter(kind: str, level: int) -> float:
-    """The level-defining scalar, oriented so harder is larger."""
-    if kind == "flat":
-        return 0.0
-    if kind == "slope":
-        return slope_angle_deg(level)
-    if kind == "stairs":
-        return step_rise(level)
-    if kind == "gap":
-        return gap_width(level)
-    if kind == "crawl":
-        return -crawl_clearance(level)  # lower clearance is harder
-    raise ConfigError("terrain_kind", f"unknown kind '{kind}'")
 
 
 @dataclass
@@ -90,16 +74,6 @@ class TerrainProfile:
             segs.append((cx[0], cz[0], cx[0], cz[0] + wall))
             segs.append((cx[-1], cz[-1], cx[-1], cz[-1] + wall))
         return np.asarray(segs, dtype=np.float64)
-
-    def export_csv(self, path, ds: float = 0.05):
-        s = np.arange(X_MIN, X_MAX + ds, ds)
-        floor = self.floor_height(s)
-        ceil = self.ceiling_height(s)
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["s", "floor", "ceiling"])
-            for si, fi, ci in zip(s, floor, ceil):
-                w.writerow([f"{si:.6f}", f"{fi:.6f}", "" if ci >= _SKY else f"{ci:.6f}"])
 
 
 def _flat_points() -> tuple[list, list]:

@@ -234,7 +234,7 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
         rows["actions"].append(actions.copy())
         rows["log_probs"].append(log_probs.copy())
 
-        phys = np.stack([envs.cfg.to_physical(a) for a in executed])
+        phys = envs.cfg.to_physical(executed)
         obs, priv, rewards, dones, infos = envs.step(phys)
         collector.window_reward += rewards
         rows["rewards"].append(rewards)

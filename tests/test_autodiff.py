@@ -1,5 +1,5 @@
 """Op-level gradient checks against central finite differences, plus tape
-semantics (detach, no_grad, broadcasting, determinism)."""
+semantics (no_grad, broadcasting, determinism)."""
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ def _check_unary(op, rng, shape=(3, 4), scale=1.0, shift=0.0, tol=1e-6):
     assert max_relative_error(x.grad, num) < tol, op.__name__
 
 
-@pytest.mark.parametrize("op", [ad.exp, ad.tanh, ad.sigmoid, ad.elu, ad.softplus])
+@pytest.mark.parametrize("op", [ad.exp, ad.tanh, ad.sigmoid, ad.elu])
 def test_unary_gradients(op, rng):
     for _ in range(5):
         _check_unary(op, rng)
@@ -127,21 +127,13 @@ def test_conv1d_shape_errors(rng):
                   Tensor(np.zeros(3)))
 
 
-def test_detach_blocks_gradient(rng):
-    x = Tensor(rng.normal(size=(3,)), requires_grad=True)
-    y = ad.square(x)
-    loss = ad.sum_(y.detach() * x)
-    loss.backward()
-    # d/dx of (const * x) is const: no second-order path through y
-    assert np.allclose(x.grad, y.data)
-
-
 def test_no_grad_skips_tape(rng):
     x = Tensor(rng.normal(size=(3,)), requires_grad=True)
     with ad.no_grad():
         y = ad.sum_(ad.square(x))
     assert y._parents == () and y._backward is None
-    assert ad.is_grad_enabled()
+    # the flag is restored after the block: an op is tracked again
+    assert ad.square(x)._backward is not None
 
 
 def test_backward_requires_scalar():

@@ -159,6 +159,18 @@ def test_checkpoint_mismatch_exits_3(tmp_path, trained_checkpoint):
     assert code == 3
 
 
+def test_malformed_checkpoint_header_exits_3(tmp_path, trained_checkpoint):
+    header, _, body = open(trained_checkpoint, "rb").read().partition(b"\n")
+    edited = json.loads(header)
+    edited["meta"] = [edited["meta"]]
+    bad = tmp_path / "bad.kpt"
+    bad.write_bytes(json.dumps(edited).encode() + b"\n" + body)
+    code = main(["eval", "--checkpoint", str(bad), "--mode", "policy_only",
+                 "--terrains", "flat", "--levels", "0", "--seeds", "0",
+                 "--episodes", "1", "--out", str(tmp_path / "e")])
+    assert code == 3
+
+
 def test_not_a_checkpoint_exits_3(tmp_path):
     bogus = tmp_path / "x.kpt"
     bogus.write_bytes(b"not a checkpoint\n")

@@ -5,17 +5,27 @@ import math
 import numpy as np
 import pytest
 
-from kinoplan.env import (ACTION_DIM, EnvBatch, EnvConfig, PlanarEnv,
-                          REWARD_SCALES, curriculum_advance, lin_tracking_reward,
-                          total_reward)
+from kinoplan.env import (ACTION_DIM, EnvBatch, EnvConfig, PlanarEnv, PROPRIO_DIM,
+                          REWARD_SCALES, SCAN_DOT_COUNT, curriculum_advance,
+                          lin_tracking_reward, total_reward)
 from kinoplan.errors import ConfigError
-from kinoplan.state import IDX_OFFSET, IDX_PZ, IDX_VX, IDX_VZ
+from kinoplan.state import IDX_OFFSET, IDX_PX, IDX_VX, IDX_VZ, advance_state, foot_height
 
 FLAT = EnvConfig(terrain_jitter=False)
 
 
 def make_env(seed=0, **kw):
     return PlanarEnv(EnvConfig(terrain_jitter=False, **kw), seed=seed)
+
+
+def history(env, obs):
+    """The proprio history rows of a flat observation, oldest first."""
+    return obs[:env.cfg.history_len * PROPRIO_DIM].reshape(env.cfg.history_len,
+                                                          PROPRIO_DIM)
+
+
+def depth_scan(env, obs):
+    return obs[env.cfg.history_len * PROPRIO_DIM:]
 
 
 # -- stepping physics -------------------------------------------------------------
@@ -27,6 +37,29 @@ def test_static_equilibrium_on_flat():
     for _ in range(50):
         env.step(np.zeros(ACTION_DIM))
     assert np.array_equal(env.state.x, x0)
+
+
+def test_step_is_one_shared_integrator_step_on_flat(rng):
+    """Away from risers and landings the env's next state is exactly one
+    advance_state step, with the body forces scaled down in the air."""
+    env = make_env(friction_range=(0.3, 0.3))
+    env.reset()
+    cfg, body = env.cfg, env.cfg.body
+    air_scale = np.array([body.air_force_scale, body.air_force_scale, 1.0, 1.0])
+    for airborne in (False, True):
+        if airborne:
+            env.state.x = np.array([0.0, 3.0, 0.0, 1.0, 0.5, 0.0, 0.0])
+        for _ in range(10):
+            x = env.state.x.copy()
+            # below the body weight, so a planted foot stays planted
+            a = rng.uniform([-30.0, -30.0, -0.2, -1.0], [30.0, 9.0, 0.2, 0.5])
+            floor = env.terrain.floor_height(x[IDX_PX])
+            assert (foot_height(x, body) > floor + body.contact_tol) == airborne
+            want = advance_state(x, a * air_scale if airborne else a, cfg.dt, body,
+                                 env.terrain.floor_height, cfg.gravity_on,
+                                 friction=0.3)
+            env.step(a)
+            assert np.array_equal(env.state.x, want)
 
 
 def test_constant_force_frictionless_velocity():
@@ -246,7 +279,7 @@ def test_history_last_row_is_current_reading():
     obs, _ = env.reset()
     a = np.array([5.0, 0.0, 0.0, 0.5])
     obs, _, _, _, _, _ = env.step(a)
-    row = obs.proprio_history[-1]
+    row = history(env, obs)[-1]
     x = env.state.x
     assert row[0] == x[IDX_OFFSET]
     assert row[2] == pytest.approx(math.sin(x[2]))
@@ -262,18 +295,18 @@ def test_history_ordering_oldest_to_newest():
     for _ in range(6):
         obs, *_ = env.step(np.array([0.0, 0.0, 0.0, 1.5]))[:1]
         offsets.append(env.state.x[IDX_OFFSET])
-    hist = env._observe().proprio_history[:, 0]
+    hist = history(env, env._observe()[0])[:, 0]
     assert np.allclose(hist, offsets[-5:])
 
 
 def test_scan_refresh_rate():
     env = make_env(scan_every=5)
     obs0, _ = env.reset()
-    scans = [obs0.depth_scan]
+    scans = [depth_scan(env, obs0)]
     for _ in range(10):
         # crouching lowers the body, so a fresh scan must differ
         obs, *_ = env.step(np.array([0.0, 0.0, 0.0, -1.5]))
-        scans.append(obs.depth_scan)
+        scans.append(depth_scan(env, obs))
     # held constant within the sensor window, refreshed at steps 5 and 10
     assert np.array_equal(scans[1], scans[0])
     assert np.array_equal(scans[4], scans[0])
@@ -284,10 +317,12 @@ def test_scan_refresh_rate():
 
 def test_priv_obs_dims_and_fields():
     env = make_env()
-    _, priv = env.reset()
-    assert priv.flat().shape == (env.cfg.priv_dim,)
-    assert priv.scan_dots.shape == (11,)
-    assert priv.mass == env.cfg.body.mass
+    obs, priv = env.reset()
+    assert priv.shape == (env.cfg.priv_dim,)
+    assert np.array_equal(priv[:env.cfg.obs_dim], obs)
+    scan_dots = priv[env.cfg.obs_dim:env.cfg.obs_dim + SCAN_DOT_COUNT]
+    assert scan_dots.shape == (11,)
+    assert priv[-2] == env.cfg.body.mass
 
 
 def test_batch_step_and_terminal_info():

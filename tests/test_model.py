@@ -13,6 +13,7 @@ from kinoplan.model import InternalModel, ModelConfig
 from kinoplan.nn import Adam
 from kinoplan.state import (BodyParams, ModelState, X_DIM, advance_state,
                             x_features)
+from kinoplan.terrain import build_terrain
 
 from oracles import max_relative_error, numeric_gradient
 
@@ -153,8 +154,9 @@ def test_prior_unit_wrench_semi_implicit(rng):
 
 
 def test_prior_integrator_matches_shared_integrator(model, rng):
-    """The model's differentiable step equals the numpy integrator in free
-    flight, so learned-wrench predictions can be exact where physics allows."""
+    """The model's differentiable step equals the simulator's integrator
+    (without friction) in free flight and in contact on terrain, so
+    learned-wrench predictions can be exact where physics allows."""
     for _ in range(20):
         x_prev = rng.normal(size=(3, X_DIM))
         x_prev[:, 1] += 10.0  # airborne
@@ -163,6 +165,23 @@ def test_prior_integrator_matches_shared_integrator(model, rng):
         want = advance_state(x_prev, wrench, CFG.dt_model, BODY, floor_at=None,
                              gravity_on=CFG.gravity_on)
         assert np.max(np.abs(got - want)) < 1e-12
+    for kind in ("flat", "slope", "stairs", "gap"):
+        terrain = build_terrain(kind, 4)
+        for _ in range(20):
+            x_prev = rng.normal(size=(6, X_DIM)) * 0.5
+            x_prev[:, 0] = rng.uniform(-1.0, 7.0, size=6)
+            x_prev[:, 6] = rng.uniform(BODY.offset_min, BODY.offset_max, size=6)
+            # four feet on the floor, two just above it
+            lift = np.array([0.0, 0.0, 0.0, 0.0, 0.05, 0.3])
+            x_prev[:, 1] = (terrain.floor_height(x_prev[:, 0]) + BODY.leg_length
+                            + x_prev[:, 6] + lift)
+            wrench = rng.normal(size=(6, 4)) * [5.0, 15.0, 5.0, 1.0]
+            got = model.integrate(x_prev, Tensor(wrench),
+                                  floor_fn=terrain.floor_height).data
+            want = advance_state(x_prev, wrench, CFG.dt_model, BODY,
+                                 floor_at=terrain.floor_height,
+                                 gravity_on=CFG.gravity_on)
+            assert np.max(np.abs(got - want)) < 1e-12, kind
 
 
 def test_prior_wrench_gradient(model, rng):

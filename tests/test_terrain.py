@@ -1,20 +1,27 @@
 """Terrain profiles, difficulty scaling, and the ray-cast depth scan."""
 
-import csv
-
 import numpy as np
 import pytest
 
 from kinoplan.errors import ConfigError
 from kinoplan.state import BodyParams
 from kinoplan.terrain import (MAX_LEVEL, TERRAIN_KINDS, build_terrain,
-                              crawl_clearance, difficulty_parameter, raycast,
-                              render_depth_scan)
+                              crawl_clearance, gap_width, raycast,
+                              render_depth_scan, slope_angle_deg, step_rise)
+
+# the level-defining scalar of each kind, oriented so harder is larger
+DIFFICULTY = {
+    "flat": lambda level: 0.0,
+    "slope": slope_angle_deg,
+    "stairs": step_rise,
+    "gap": gap_width,
+    "crawl": lambda level: -crawl_clearance(level),   # lower clearance is harder
+}
 
 
 @pytest.mark.parametrize("kind", TERRAIN_KINDS)
 def test_difficulty_parameter_monotone(kind):
-    params = [difficulty_parameter(kind, lvl) for lvl in range(MAX_LEVEL + 1)]
+    params = [DIFFICULTY[kind](lvl) for lvl in range(MAX_LEVEL + 1)]
     assert all(b >= a for a, b in zip(params, params[1:]))
 
 
@@ -114,19 +121,3 @@ def test_crawl_scan_sees_ceiling_wall():
     flat = build_terrain("flat", 0)
     scan_without = render_depth_scan(x, flat, 64, 3.0)
     assert np.any(scan_with < scan_without)  # slab face intercepts forward rays
-
-
-def test_export_csv(tmp_path):
-    t = build_terrain("crawl", 4)
-    path = tmp_path / "terrain.csv"
-    t.export_csv(path, ds=0.5)
-    with open(path) as f:
-        rows = list(csv.reader(f))
-    assert rows[0] == ["s", "floor", "ceiling"]
-    assert len(rows) > 10
-    # ceiling column empty outside the slab, filled inside
-    svals = [float(r[0]) for r in rows[1:]]
-    inside = [r for r, s in zip(rows[1:], svals) if 3.2 < s < 4.8]
-    outside = [r for r, s in zip(rows[1:], svals) if s < 2.0]
-    assert all(r[2] != "" for r in inside)
-    assert all(r[2] == "" for r in outside)
