@@ -259,14 +259,6 @@ def exp(a) -> Tensor:
     return _node(data, (a,), lambda g: (g * data,))
 
 
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.log(a.data)
-    if not _tracked(a):
-        return Tensor(data)
-    return _node(data, (a,), lambda g: (g / a.data,))
-
-
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     data = np.tanh(a.data)

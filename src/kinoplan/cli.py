@@ -1,7 +1,8 @@
 """Experiment runner front door.
 
 Subcommands:
-    train   --config cfg.json [--out DIR]
+    train   --config cfg.json [--out DIR]   (default: the config's out_dir,
+            else a new directory under the output root)
     eval    --checkpoint ck.kpt --mode planner[,policy_only,...] [--terrains ...]
             [--levels ...] [--seeds ...] [--episodes N] [--out DIR]
     trace   --checkpoint ck.kpt --terrain gap [--level N] [--seed N] [--out DIR]
@@ -43,7 +44,8 @@ def _run_dir(root: str, tag: str, seed: int) -> str:
 def cmd_train(args) -> int:
     from .training import train
     config = ExperimentConfig.load(args.config)
-    out_dir = args.out or _run_dir(_out_root(None), config.run_tag, config.seed)
+    out_dir = (args.out or config.out_dir
+               or _run_dir(_out_root(None), config.run_tag, config.seed))
     run_dir = train(config, out_dir)
     print(f"run directory: {run_dir}")
     return EXIT_OK

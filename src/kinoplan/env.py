@@ -1,12 +1,33 @@
-"""Planar kinodynamic locomotion environment.
+"""Planar kinodynamic locomotion environment, stepped as a batch.
 
 A single rigid body with a height-adjustable point-foot support leg crosses
 1-D terrain under a wrench action [force_x, force_z, torque, height_rate]
 (physical units) at 50 Hz. The integration (semi-implicit Euler with a
 planted-foot contact mode and Coulomb drag) lives in `state.advance_state`;
-`PlanarEnv.step` adds only the simulator's extras around it: weak body
-forces in the air, step-riser blocking and the landing clamp. The synthetic
-depth scan is refreshed at the 10 Hz sensor rate.
+`step_state` adds only the simulator's extras around it: weak body forces in
+the air, step-riser blocking and the landing clamp. The synthetic depth scan
+is refreshed at the 10 Hz sensor rate.
+
+Batch layout. An `EnvState` holds envs as arrays over a leading shape: ()
+for one `PlanarEnv`, (B,) for an `EnvBatch`. Per env it holds
+
+    x (7), contact, v_cmd, step_count, friction,
+    prev_action (4), prev_height_rate, air_steps, stuck_steps, episode_return,
+    history (history_len x PROPRIO_DIM, oldest row first), scan (scan_rays),
+
+and the env's terrain as arrays, each padded to the batch's common width:
+
+    floor_x, floor_z      the floor polyline, padded by repeating its last point
+    ceiling_x, ceiling_z  the ceiling polyline (a flat one at terrain.SKY where
+                          there is no ceiling), padded the same way
+    disc                  the discontinuities, padded with +inf
+    segments              the raycast segments (S, 4), padded with NaN rows
+    fall_z
+
+Padding changes no floor or ceiling lookup, edge test or ray hit. One call of
+`step_state` advances every env of an `EnvState`; `PlanarEnv` and `EnvBatch`
+differ only in how they report the step, and in that a batch resets its done
+envs.
 
 `reset` and `step` return flat observations:
 
@@ -19,14 +40,17 @@ depth scan is refreshed at the 10 Hz sensor rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ArtifactMismatchError, ConfigError
 from .state import (BodyParams, IDX_OFFSET, IDX_OMEGA, IDX_PITCH, IDX_PX, IDX_PZ,
-                    IDX_VX, IDX_VZ, X_DIM, advance_state)
-from .terrain import MAX_LEVEL, TerrainProfile, build_terrain, render_depth_scan
+                    IDX_VX, X_DIM, advance_state, select)
+from .terrain import (MAX_LEVEL, SKY, X_MAX, X_MIN, TerrainProfile, build_terrain,
+                      interp_rows, render_depth_scan)
 
 PROPRIO_DIM = 9          # [d, d_rate, sin pitch, cos pitch, v_cmd, prev_action(4)]
 SCAN_DOT_COUNT = 11
@@ -51,6 +75,10 @@ REWARD_SCALES = {
 }
 
 ACTION_DIM = 4
+
+# termination reason by code; code 0 means the episode goes on
+TERMINATIONS = (None, "collision", "fall", "pitch", "success", "timeout", "fault")
+_COLLISION, _FALL, _PITCH, _SUCCESS, _TIMEOUT, _FAULT = range(1, 7)
 
 
 @dataclass(frozen=True)
@@ -82,6 +110,16 @@ class EnvConfig:
     pitch_limit: float = 1.2
     air_time_cap: float = 1.0
 
+    def __post_init__(self):
+        # the action box as read-only arrays, built once: (low, high, middle,
+        # width, half width)
+        lo = np.array(self.action_low, dtype=np.float64)
+        hi = np.array(self.action_high, dtype=np.float64)
+        box = (lo, hi, (lo + hi) / 2.0, hi - lo, (hi - lo) / 2.0)
+        for a in box:
+            a.flags.writeable = False
+        object.__setattr__(self, "_box", box)
+
     @property
     def obs_dim(self) -> int:
         return self.history_len * PROPRIO_DIM + self.scan_rays
@@ -91,59 +129,75 @@ class EnvConfig:
         return self.obs_dim + PRIV_EXTRA_DIM
 
     def action_box(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.asarray(self.action_low), np.asarray(self.action_high)
+        return self._box[0], self._box[1]
 
     def to_physical(self, a_norm: np.ndarray) -> np.ndarray:
         """Map normalized [-1, 1] actions onto the physical action box."""
-        lo, hi = self.action_box()
-        return (lo + hi) / 2.0 + np.asarray(a_norm) * (hi - lo) / 2.0
+        _, _, mid, width, _ = self._box
+        return mid + np.asarray(a_norm) * width / 2.0
 
     def to_normalized(self, a_phys: np.ndarray) -> np.ndarray:
-        lo, hi = self.action_box()
-        return (np.asarray(a_phys) - (lo + hi) / 2.0) / ((hi - lo) / 2.0)
+        _, _, mid, _, half = self._box
+        return (np.asarray(a_phys) - mid) / half
 
 
-@dataclass
-class SimState:
-    x: np.ndarray
-    contact: bool
-    v_cmd: float
-    step_count: int
-    rng: np.random.Generator
+# np.exp, and the multiply numpy substitutes for an array's ** 2, differ from
+# libm's exp and pow in the last bit for some arguments; the reward keeps
+# libm's, one element at a time.
+_EXP = np.frompyfunc(math.exp, 1, 1)
+_POW = np.frompyfunc(math.pow, 2, 1)
 
 
-def lin_tracking_reward(v: float, v_cmd: float, sigma: float) -> float:
+def _exp(x):
+    if isinstance(x, float):                # numpy float64 scalars included
+        return math.exp(x)
+    return np.asarray(_EXP(x), dtype=np.float64)
+
+
+def _square(x):
+    if isinstance(x, float):
+        return math.pow(x, 2.0)
+    return np.asarray(_POW(x, 2.0), dtype=np.float64)
+
+
+def lin_tracking_reward(v, v_cmd, sigma: float):
     """Clipped velocity-tracking kernel: overspeed beyond v_cmd + 0.1 plateaus."""
     if sigma <= 0:
         raise ConfigError("sigma_lin", "tracking scale must be positive")
-    err = min(v, v_cmd + 0.1) - v_cmd
-    return math.exp(-err * err / sigma)
+    cap = v_cmd + 0.1
+    err = select(cap < v, cap, v) - v_cmd
+    return _exp(-err * err / sigma)
 
 
 def total_reward(x_after: np.ndarray, action: np.ndarray, prev_action: np.ndarray,
-                 prev_height_rate: float, height_rate: float, v_cmd: float,
-                 events: dict, cfg: EnvConfig) -> tuple[float, dict]:
-    """Weighted per-step reward; returns (total, per-term contributions)."""
-    lo, hi = cfg.action_box()
-    half = (hi - lo) / 2.0
-    da = (np.asarray(action) - np.asarray(prev_action)) / half
+                 prev_height_rate, height_rate, v_cmd, events: dict,
+                 cfg: EnvConfig) -> tuple:
+    """Weighted per-step reward over any leading shape; returns (total,
+    per-term contributions). `events` maps event names to flags of that
+    shape, and "air_time" to seconds; an absent event is off."""
+    _, _, _, vx, vz, om, d = np.asarray(x_after, dtype=np.float64).T
+    action = np.asarray(action, dtype=np.float64)
+    a0, a1, a2, _ = action.T
+    da = (action - np.asarray(prev_action)) / cfg._box[4]
+    da0, da1, da2, da3 = (da * da).T
 
     raw = {
-        "lin_tracking": lin_tracking_reward(abs(x_after[IDX_VX]), v_cmd, cfg.sigma_lin),
-        "ang_tracking": math.exp(-x_after[IDX_OMEGA] ** 2 / cfg.sigma_ang),
-        "torques": -float(np.sum(np.asarray(action)[:3] ** 2)),
-        "dof_acc": -((height_rate - prev_height_rate) / cfg.dt) ** 2,
-        "action_rate": float(np.sum(da * da)),
-        "dof_error": x_after[IDX_OFFSET] ** 2,
-        "z_vel": x_after[IDX_VZ] ** 2,
-        "feet_air": events.get("air_time", 0.0) if events.get("landed", False) else 0.0,
-        "collision": 1.0 if events.get("collision", False) else 0.0,
-        "stumble": 1.0 if events.get("stumble", False) else 0.0,
-        "edge": 1.0 if events.get("edge", False) else 0.0,
-        "stuck": 1.0 if events.get("stuck", False) else 0.0,
+        "lin_tracking": lin_tracking_reward(np.abs(vx), v_cmd, cfg.sigma_lin),
+        "ang_tracking": _exp(-_square(om) / cfg.sigma_ang),
+        "torques": -(a0 * a0 + a1 * a1 + a2 * a2),
+        "dof_acc": -_square((height_rate - prev_height_rate) / cfg.dt),
+        "action_rate": da0 + da1 + da2 + da3,
+        "dof_error": _square(d),
+        "z_vel": _square(vz),
+        "feet_air": select(events.get("landed", False), events.get("air_time", 0.0), 0.0),
     }
+    for name in ("collision", "stumble", "edge", "stuck"):
+        raw[name] = select(events.get(name, False), 1.0, 0.0)
     terms = {k: REWARD_SCALES[k] * raw[k] for k in REWARD_SCALES}
-    return float(sum(terms.values())), terms
+    total = 0.0
+    for term in terms.values():     # in REWARD_SCALES order, as sum() adds them
+        total = total + term
+    return total, terms
 
 
 def curriculum_advance(level: int, success_rate: float) -> int:
@@ -155,72 +209,266 @@ def curriculum_advance(level: int, success_rate: float) -> int:
     return int(np.clip(level, 0, MAX_LEVEL))
 
 
+# -- state ---------------------------------------------------------------------
+
+_NO_CEILING = (np.array([X_MIN, X_MAX]), np.array([SKY, SKY]))
+
+# padded terrain fields and their padding: "edge" repeats the last entry
+_PADDING = {"floor_x": "edge", "floor_z": "edge", "ceiling_x": "edge",
+            "ceiling_z": "edge", "disc": np.inf, "segments": np.nan}
+
+
+def _pad(a: np.ndarray, width: int, fill, axis: int) -> np.ndarray:
+    """`a` padded along `axis` to `width` entries."""
+    extra = width - a.shape[axis]
+    if extra <= 0:
+        return a
+    if isinstance(fill, str):
+        tail = np.repeat(np.take(a, [-1], axis=axis), extra, axis=axis)
+    else:
+        shape = list(a.shape)
+        shape[axis] = extra
+        tail = np.full(shape, fill)
+    return np.concatenate([a, tail], axis=axis)
+
+
+@dataclass
+class EnvState:
+    """Envs as arrays over a leading shape; layout in the module docstring."""
+
+    x: np.ndarray
+    contact: np.ndarray
+    v_cmd: np.ndarray
+    step_count: np.ndarray
+    friction: np.ndarray
+    prev_action: np.ndarray
+    prev_height_rate: np.ndarray
+    air_steps: np.ndarray
+    stuck_steps: np.ndarray
+    episode_return: np.ndarray
+    history: np.ndarray
+    scan: np.ndarray
+    floor_x: np.ndarray
+    floor_z: np.ndarray
+    ceiling_x: np.ndarray
+    ceiling_z: np.ndarray
+    disc: np.ndarray
+    segments: np.ndarray
+    fall_z: np.ndarray
+
+    @classmethod
+    def stack(cls, envs: list["EnvState"]) -> "EnvState":
+        """Single-env states stacked into a batch of leading shape (B,)."""
+        out = {}
+        for f in fields(cls):
+            rows = [np.asarray(getattr(env, f.name)) for env in envs]
+            if f.name in _PADDING:
+                width = max(r.shape[0] for r in rows)
+                rows = [_pad(r, width, _PADDING[f.name], axis=0) for r in rows]
+            out[f.name] = np.stack(rows)
+        return cls(**out)
+
+    def put(self, i: int, env: "EnvState"):
+        """Overwrite env i of a batch with a single-env state, widening the
+        padded terrain fields if its terrain needs more room."""
+        for f in fields(self):
+            value = np.asarray(getattr(env, f.name))
+            batch = getattr(self, f.name)
+            if f.name in _PADDING:
+                fill = _PADDING[f.name]
+                width = max(batch.shape[1], value.shape[0])
+                batch = _pad(batch, width, fill, axis=1)
+                setattr(self, f.name, batch)
+                value = _pad(value, width, fill, axis=0)
+            batch[i] = value
+
+
+def _proprio_row(cfg: EnvConfig, x, height_rate, action, v_cmd) -> np.ndarray:
+    th = x[..., IDX_PITCH]
+    head = np.array([x[..., IDX_OFFSET], height_rate, np.sin(th), np.cos(th), v_cmd]).T
+    return np.concatenate([head, cfg.to_normalized(action)], axis=-1)
+
+
+def _reset_state(cfg: EnvConfig, rng: np.random.Generator, level: int | None = None,
+                 terrain: TerrainProfile | None = None
+                 ) -> tuple[TerrainProfile, EnvState]:
+    """A new episode of one env, its draws from `rng`: (terrain, state)."""
+    episode_rng = np.random.default_rng(rng.integers(0, 2**63 - 1))
+    if terrain is None:
+        terrain = build_terrain(cfg.terrain_kind,
+                                cfg.terrain_level if level is None else level,
+                                episode_rng, jitter=cfg.terrain_jitter)
+    x = np.zeros(X_DIM)
+    x[IDX_PX] = cfg.start_x
+    x[IDX_PZ] = float(terrain.floor_height(cfg.start_x)) + cfg.body.leg_length
+    v_cmd = float(episode_rng.uniform(*cfg.v_cmd_range))
+    friction = 0.0 if cfg.frictionless else float(
+        episode_rng.uniform(*cfg.friction_range))
+    ceiling_x, ceiling_z = (_NO_CEILING if terrain.ceiling_x is None
+                            else (terrain.ceiling_x, terrain.ceiling_z))
+    segments = terrain.segments()
+    prev_action = np.zeros(ACTION_DIM)
+    row = _proprio_row(cfg, x, 0.0, prev_action, v_cmd)
+    state = EnvState(
+        x=x, contact=np.True_, v_cmd=v_cmd, step_count=0, friction=friction,
+        prev_action=prev_action, prev_height_rate=0.0, air_steps=0, stuck_steps=0,
+        episode_return=0.0, history=np.tile(row, (cfg.history_len, 1)),
+        scan=render_depth_scan(x, segments, cfg.scan_rays, cfg.scan_max_range),
+        floor_x=terrain.floor_x, floor_z=terrain.floor_z, ceiling_x=ceiling_x,
+        ceiling_z=ceiling_z, disc=terrain.discontinuities, segments=segments,
+        fall_z=terrain.fall_z)
+    return terrain, state
+
+
+# -- stepping ------------------------------------------------------------------------
+
+class StepOutcome(NamedTuple):
+    """What `step_state` reports per env, over the state's leading shape;
+    `events` holds the flags (and "air_time") an env's info reports."""
+
+    reward: np.ndarray
+    terms: dict
+    code: np.ndarray
+    fault: np.ndarray
+    success: np.ndarray
+    events: dict
+
+
+def step_state(cfg: EnvConfig, s: EnvState, action) -> StepOutcome:
+    """Advance every env of `s` one 50 Hz step under physical wrench actions
+    (..., 4), in place. An env whose state is or becomes non-finite ends with
+    a fault, no reward and its state unchanged."""
+    body = cfg.body
+    leg = body.leg_length
+    lo, hi = cfg.action_box()
+    a = np.minimum(np.maximum(np.asarray(action, dtype=np.float64), lo), hi)
+    floor_at = partial(interp_rows, xp=s.floor_x, fp=s.floor_z)
+
+    fault_before = ~np.isfinite(s.x).all(axis=-1)
+    px, pz, _, _, _, _, d = s.x.T
+    floor_here = floor_at(px)
+    contact = pz - (leg + d) <= floor_here + body.contact_tol
+    air = body.air_force_scale
+    wrench = select(contact, a, a * np.array([air, air, 1.0, 1.0]))
+    x2 = advance_state(s.x, wrench, cfg.dt, body, floor_at, cfg.gravity_on,
+                       friction=s.friction)
+    px2, pz2, th2, vx2, vz2, om2, d2 = x2.T
+    height_rate = (d2 - d) / cfg.dt
+    planted = contact & (vz2 <= 0.0)
+
+    # step-riser blocking: the foot cannot slide into a rise taller than tol;
+    # a planted foot has not moved vertically before it is re-planted
+    floor_ahead = floor_at(px2)
+    stumble = floor_ahead - (select(planted, pz, pz2) - (leg + d2)) > cfg.step_up_tol
+    px2 = select(stumble, px, px2)
+    vx2 = select(stumble, 0.0, vx2)
+    floor_ahead = select(stumble, floor_here, floor_ahead)
+    pz2 = select(stumble & planted, floor_here + leg + d2, pz2)
+    through = ~planted & (pz2 - (leg + d2) < floor_ahead)    # landed through floor
+    pz2 = select(through, floor_ahead + leg + d2, pz2)
+    vz2 = select(through & (vz2 < 0.0), 0.0, vz2)
+    x2 = np.array([px2, pz2, th2, vx2, vz2, om2, d2]).T
+    fault = fault_before | ~np.isfinite(x2).all(axis=-1)
+
+    # events
+    contact2 = pz2 - (leg + d2) <= floor_ahead + body.contact_tol
+    landed = contact2 & (s.air_steps > 0)
+    air_time = s.air_steps * cfg.dt
+    air_time = select(landed, select(cfg.air_time_cap < air_time, cfg.air_time_cap,
+                                     air_time), 0.0)
+    air_steps = select(contact2, 0, s.air_steps + 1)
+    edge = contact2 & (np.abs(s.disc.T - px2) <= cfg.edge_margin).any(axis=0)
+    moving = (np.abs(vx2) < cfg.stuck_speed) & (np.abs(s.v_cmd) > 0.0)
+    stuck_steps = select(moving, s.stuck_steps + 1, 0)
+    stuck = stuck_steps >= cfg.stuck_steps
+
+    ceiling = interp_rows(px2, s.ceiling_x, s.ceiling_z, SKY, SKY)
+    hh = body.body_half_height
+    collision = (pz2 + hh > ceiling) | (pz2 - hh < floor_ahead)
+    fall = pz2 < s.fall_z + leg + body.offset_min
+    step_count = s.step_count + 1
+    success = px2 >= cfg.goal_x
+    code = select(collision, _COLLISION, select(
+        fall, _FALL, select(np.abs(th2) > cfg.pitch_limit, _PITCH, select(
+            success, _SUCCESS, select(step_count >= cfg.max_steps, _TIMEOUT, 0)))))
+
+    events = {"stumble": stumble, "landed": landed, "air_time": air_time,
+              "edge": edge, "stuck": stuck, "collision": collision | fall}
+    reward, terms = total_reward(x2, a, s.prev_action, s.prev_height_rate,
+                                 height_rate, s.v_cmd, events, cfg)
+    row = _proprio_row(cfg, x2, height_rate, a, s.v_cmd)
+    new = {"x": x2, "contact": contact2, "step_count": step_count,
+           "air_steps": air_steps, "stuck_steps": stuck_steps,
+           "episode_return": s.episode_return + reward,
+           "history": np.concatenate([s.history[..., 1:, :], row[..., None, :]], axis=-2),
+           "prev_action": a, "prev_height_rate": height_rate}
+    refresh = step_count % cfg.scan_every == 0
+    if fault.any():
+        # a faulted env ends with no reward and keeps its state; it reports
+        # only a stumble found before its fault
+        ok = ~fault
+        code = select(fault, _FAULT, code)
+        reward = select(fault, 0.0, reward)
+        success = success & ok
+        refresh = refresh & ok
+        events = {k: select(ok, v, False) for k, v in events.items()}
+        events["stumble"] = stumble & ~fault_before
+        events["air_time"] = select(ok, air_time, 0.0)
+        new = {k: select(ok, v, getattr(s, k)) for k, v in new.items()}
+    vars(s).update(new)
+    if np.any(refresh):
+        s.scan[refresh] = render_depth_scan(x2[refresh], s.segments[refresh],
+                                            cfg.scan_rays, cfg.scan_max_range)
+    return StepOutcome(reward, terms, code, fault, success, events)
+
+
+def _infos(out: StepOutcome, s: EnvState) -> list[dict]:
+    """The per-env info dicts of a step, after `s` was advanced."""
+    # one array, one row per env: every value is exact in float64
+    rows = np.array([out.code, out.success, out.fault, s.episode_return, s.step_count,
+                     *out.events.values()], dtype=np.float64)
+    infos = []
+    for code, success, fault, ret, steps, *flags in rows.reshape(len(rows), -1).T.tolist():
+        infos.append({"events": {k: f if k == "air_time" else True
+                                 for k, f in zip(out.events, flags) if f},
+                      "termination": TERMINATIONS[int(code)], "success": success == 1.0,
+                      "fault": fault == 1.0, "episode_return": ret,
+                      "episode_steps": int(steps)})
+    return infos
+
+
+def observe(cfg: EnvConfig, s: EnvState) -> tuple[np.ndarray, np.ndarray]:
+    """The flat (obs, priv) of every env of `s`; layouts in the module docstring."""
+    body = cfg.body
+    lead = s.x.shape[:-1]
+    n_hist, n_obs = cfg.history_len * PROPRIO_DIM, cfg.obs_dim
+    priv = np.empty(lead + (cfg.priv_dim,))
+    priv[..., :n_hist] = s.history.reshape(lead + (n_hist,))
+    priv[..., n_hist:n_obs] = s.scan
+    px, pz = s.x[..., IDX_PX, None], s.x[..., IDX_PZ, None]
+    priv[..., n_obs:n_obs + SCAN_DOT_COUNT] = interp_rows(
+        px + SCAN_DOT_OFFSETS, s.floor_x, s.floor_z) - pz
+    priv[..., -6:-3] = s.x[..., IDX_VX:IDX_OMEGA + 1]     # v_x, v_z, pitch_rate
+    support = body.mass * body.gravity - s.prev_action[..., 1]
+    priv[..., -3] = select(s.contact & (support > 0.0), support, 0.0)
+    priv[..., -2] = body.mass
+    priv[..., -1] = s.friction
+    return priv[..., :n_obs].copy(), priv
+
+
 class PlanarEnv:
-    """Single environment; see EnvBatch for the stacked convenience."""
+    """One environment: `step_state` at leading shape (). See EnvBatch for B."""
 
     def __init__(self, config: EnvConfig | None = None, seed: int = 0):
         self.cfg = config or EnvConfig()
         self.rng = np.random.default_rng(seed)
         self.terrain: TerrainProfile | None = None
-        self.state: SimState | None = None
-        self._history = np.zeros((self.cfg.history_len, PROPRIO_DIM))
-        self._scan = np.zeros(self.cfg.scan_rays)
-        self._prev_action = np.zeros(ACTION_DIM)
-        self._prev_height_rate = 0.0
-        self._air_steps = 0
-        self._stuck_counter = 0
-        self._friction = 0.0
-        self._episode_return = 0.0
-
-    # -- lifecycle -------------------------------------------------------------
+        self.state: EnvState | None = None
 
     def reset(self, level: int | None = None, terrain: TerrainProfile | None = None
               ) -> tuple[np.ndarray, np.ndarray]:
-        cfg = self.cfg
-        episode_rng = np.random.default_rng(self.rng.integers(0, 2**63 - 1))
-        if terrain is None:
-            terrain = build_terrain(cfg.terrain_kind,
-                                    cfg.terrain_level if level is None else level,
-                                    episode_rng, jitter=cfg.terrain_jitter)
-        self.terrain = terrain
-
-        x = np.zeros(X_DIM)
-        x[IDX_PX] = cfg.start_x
-        x[IDX_PZ] = float(terrain.floor_height(cfg.start_x)) + cfg.body.leg_length
-        v_cmd = float(episode_rng.uniform(*cfg.v_cmd_range))
-        self._friction = 0.0 if cfg.frictionless else float(
-            episode_rng.uniform(*cfg.friction_range))
-        self.state = SimState(x=x, contact=True, v_cmd=v_cmd, step_count=0,
-                              rng=episode_rng)
-        self._prev_action = np.zeros(ACTION_DIM)
-        self._prev_height_rate = 0.0
-        self._air_steps = 0
-        self._stuck_counter = 0
-        self._episode_return = 0.0
-        self._scan = render_depth_scan(x, terrain, cfg.scan_rays, cfg.scan_max_range)
-        row = self._proprio_row(x, 0.0, self._prev_action)
-        self._history = np.tile(row, (cfg.history_len, 1))
+        self.terrain, self.state = _reset_state(self.cfg, self.rng, level, terrain)
         return self._observe()
-
-    def snapshot(self) -> dict:
-        """The env's state as a dict/list tree of plain values and arrays."""
-        snap = {k: v for k, v in vars(self).items() if k not in ("cfg", "state")}
-        snap.update(rng=self.rng.bit_generator.state, terrain=vars(self.terrain),
-                    state={**vars(self.state), "rng": self.state.rng.bit_generator.state})
-        return snap
-
-    def restore(self, snap: dict):
-        """Inverse of snapshot(), for an env built with the same config."""
-        snap = dict(snap)
-        self.rng.bit_generator.state = snap.pop("rng")
-        self.terrain = TerrainProfile(**snap.pop("terrain"))
-        sim = dict(snap.pop("state"))
-        rng = np.random.default_rng(0)
-        rng.bit_generator.state = sim.pop("rng")
-        self.state = SimState(rng=rng, **sim)
-        vars(self).update(snap)
-
-    # -- stepping ----------------------------------------------------------------
 
     def step(self, action: np.ndarray):
         """Advance one 50 Hz step under a physical wrench action.
@@ -228,148 +476,41 @@ class PlanarEnv:
         Returns (obs, priv_obs, reward, reward_terms, done, info); info carries
         the event flags, termination reason, and success flag.
         """
-        cfg, st, body = self.cfg, self.state, self.cfg.body
-        lo, hi = cfg.action_box()
-        a = np.clip(np.asarray(action, dtype=np.float64), lo, hi)
-
-        if not np.isfinite(st.x).all():
-            return self._fault({})
-
-        x = st.x
-        px, pz, d = x[IDX_PX], x[IDX_PZ], x[IDX_OFFSET]
-        floor_here = float(self.terrain.floor_height(px))
-        contact = (pz - (body.leg_length + d)) <= floor_here + body.contact_tol
-        wrench = a.copy()
-        if not contact:
-            wrench[:2] *= body.air_force_scale
-        x2 = advance_state(x, wrench, cfg.dt, body, self.terrain.floor_height,
-                           cfg.gravity_on, friction=self._friction)
-        px2, pz2, th2, vx2, vz2, om2, d2 = x2
-        height_rate = (d2 - d) / cfg.dt
-        planted = contact and vz2 <= 0.0
-
-        events = {}
-        # step-riser blocking: the foot cannot slide into a rise taller than tol;
-        # a planted foot has not moved vertically before it is re-planted
-        floor_ahead = float(self.terrain.floor_height(px2))
-        foot_free = (pz if planted else pz2) - (body.leg_length + d2)
-        if floor_ahead - foot_free > cfg.step_up_tol:
-            events["stumble"] = True
-            px2, vx2, floor_ahead = px, 0.0, floor_here
-            if planted:
-                pz2 = floor_here + body.leg_length + d2
-        if not planted and pz2 - (body.leg_length + d2) < floor_ahead:
-            pz2 = floor_ahead + body.leg_length + d2   # landed through floor
-            vz2 = max(vz2, 0.0)
-
-        x2 = np.array([px2, pz2, th2, vx2, vz2, om2, d2])
-        if not np.isfinite(x2).all():
-            return self._fault(events)
-
-        contact2 = (pz2 - (body.leg_length + d2)) <= floor_ahead + body.contact_tol
-
-        # events
-        if contact2:
-            if self._air_steps > 0:
-                events["landed"] = True
-                events["air_time"] = min(self._air_steps * cfg.dt, cfg.air_time_cap)
-            self._air_steps = 0
-            disc = self.terrain.discontinuities
-            if disc.size and np.min(np.abs(disc - px2)) <= cfg.edge_margin:
-                events["edge"] = True
-        else:
-            self._air_steps += 1
-
-        if abs(vx2) < cfg.stuck_speed and abs(st.v_cmd) > 0.0:
-            self._stuck_counter += 1
-        else:
-            self._stuck_counter = 0
-        if self._stuck_counter >= cfg.stuck_steps:
-            events["stuck"] = True
-
-        termination = None
-        ceiling = float(self.terrain.ceiling_height(px2))
-        if pz2 + body.body_half_height > ceiling or pz2 - body.body_half_height < floor_ahead:
-            events["collision"] = True
-            termination = "collision"
-        elif pz2 < self.terrain.fall_z + body.leg_length + body.offset_min:
-            events["collision"] = True
-            termination = "fall"
-        elif abs(th2) > cfg.pitch_limit:
-            termination = "pitch"
-
-        st.x = x2
-        st.contact = bool(contact2)
-        st.step_count += 1
-
-        success = px2 >= cfg.goal_x
-        if termination is None:
-            if success:
-                termination = "success"
-            elif st.step_count >= cfg.max_steps:
-                termination = "timeout"
-        done = termination is not None
-
-        reward, terms = total_reward(x2, a, self._prev_action, self._prev_height_rate,
-                                     height_rate, st.v_cmd, events, cfg)
-        self._episode_return += reward
-
-        if st.step_count % cfg.scan_every == 0:
-            self._scan = render_depth_scan(x2, self.terrain, cfg.scan_rays,
-                                           cfg.scan_max_range)
-        row = self._proprio_row(x2, height_rate, a)
-        self._history = np.vstack([self._history[1:], row])
-        self._prev_action = a
-        self._prev_height_rate = height_rate
-
-        info = {"events": events, "termination": termination, "success": bool(success),
-                "fault": False, "episode_return": self._episode_return,
-                "episode_steps": st.step_count}
-        return *self._observe(), reward, terms, done, info
-
-    def _fault(self, events):
-        """End the episode on a non-finite state, with no reward."""
-        info = {"events": dict(events), "termination": "fault", "success": False,
-                "fault": True, "episode_return": self._episode_return,
-                "episode_steps": self.state.step_count}
-        return *self._observe(), 0.0, {}, True, info
-
-    # -- observations -------------------------------------------------------------
-
-    def _proprio_row(self, x, height_rate, action):
-        return np.concatenate([
-            [x[IDX_OFFSET], height_rate, math.sin(x[IDX_PITCH]), math.cos(x[IDX_PITCH]),
-             self.state.v_cmd], self.cfg.to_normalized(action)])
+        out = step_state(self.cfg, self.state, action)
+        info = _infos(out, self.state)[0]
+        return (*self._observe(), float(out.reward), {} if out.fault else out.terms,
+                bool(out.code), info)
 
     def _observe(self) -> tuple[np.ndarray, np.ndarray]:
-        """The flat (obs, priv) pair; layouts in the module docstring."""
-        st, body = self.state, self.cfg.body
-        obs = np.concatenate([self._history.ravel(), self._scan])
-        dots = self.terrain.floor_height(st.x[IDX_PX] + SCAN_DOT_OFFSETS) - st.x[IDX_PZ]
-        force = max(0.0, body.mass * body.gravity - self._prev_action[1]) if st.contact else 0.0
-        priv = np.concatenate([obs, dots, st.x[[IDX_VX, IDX_VZ, IDX_OMEGA]],
-                               [force, body.mass, self._friction]])
-        return obs, priv
+        return observe(self.cfg, self.state)
+
+
+def env_seeds(seed: int, num_envs: int) -> list[int]:
+    """The seed of each env of an EnvBatch, spawned from the batch seed."""
+    return [int(s.generate_state(1)[0] % 2**31)
+            for s in np.random.SeedSequence(seed).spawn(num_envs)]
 
 
 class EnvBatch:
-    """B independent environments with stacked observations and auto-reset."""
+    """B independent environments stepped as one batch, with auto-reset.
+
+    `state` is an EnvState of leading shape (B,): the B envs' simulator
+    state, history and scan, and their terrains as padded arrays (layout in
+    the module docstring). Env i draws its episodes from `rngs[i]`, exactly
+    as a PlanarEnv seeded with `env_seeds(seed, B)[i]` would.
+    """
 
     def __init__(self, config: EnvConfig, num_envs: int, seed: int = 0):
-        seeds = np.random.SeedSequence(seed).spawn(num_envs)
-        self.envs = [PlanarEnv(config, seed=int(s.generate_state(1)[0] % 2**31))
-                     for s in seeds]
+        self.rngs = [np.random.default_rng(s) for s in env_seeds(seed, num_envs)]
         self.cfg = config
         self.num_envs = num_envs
         self.level = config.terrain_level
+        self.state: EnvState | None = None
 
     def reset_all(self) -> tuple[np.ndarray, np.ndarray]:
-        obs, priv = [], []
-        for env in self.envs:
-            o, p = env.reset(level=self.level)
-            obs.append(o)
-            priv.append(p)
-        return np.stack(obs), np.stack(priv)
+        self.state = EnvState.stack([_reset_state(self.cfg, rng, self.level)[1]
+                                     for rng in self.rngs])
+        return observe(self.cfg, self.state)
 
     def step(self, actions: np.ndarray):
         """Step all envs; done envs auto-reset (returned obs is the new episode's).
@@ -377,18 +518,32 @@ class EnvBatch:
         Returns (obs, priv, rewards, dones, infos) with infos the per-env dicts;
         a done env's info carries its terminal summary.
         """
-        obs, priv, rewards, dones, infos = [], [], [], [], []
-        for env, a in zip(self.envs, actions):
-            o, p, r, _, done, info = env.step(a)
-            if done:
-                info["terminal_x"] = env.state.x.copy()
-                info["terminal_floor"] = float(
-                    env.terrain.floor_height(env.state.x[0]))
-                o, p = env.reset(level=self.level)
-            obs.append(o)
-            priv.append(p)
-            rewards.append(r)
-            dones.append(done)
-            infos.append(info)
-        return (np.stack(obs), np.stack(priv), np.asarray(rewards),
-                np.asarray(dones, dtype=bool), infos)
+        s = self.state
+        out = step_state(self.cfg, s, actions)
+        infos = _infos(out, s)
+        dones = out.code != 0
+        for i in np.flatnonzero(dones):
+            infos[i]["terminal_x"] = s.x[i].copy()
+            infos[i]["terminal_floor"] = float(self.floor_height(s.x[i, IDX_PX], i))
+            s.put(i, _reset_state(self.cfg, self.rngs[i], self.level)[1])
+        return (*observe(self.cfg, s), out.reward, dones, infos)
+
+    def floor_height(self, s, rows=slice(None)):
+        """Floor heights at positions `s` of the envs `rows` (all by default),
+        one position per env or a trailing axis of them."""
+        return interp_rows(s, self.state.floor_x[rows], self.state.floor_z[rows])
+
+    def snapshot(self) -> dict:
+        """The batch's state as a dict/list tree of plain values and arrays."""
+        return {"rngs": [g.bit_generator.state for g in self.rngs],
+                "state": dict(vars(self.state))}
+
+    def restore(self, snap: dict):
+        """Inverse of snapshot(), for a reset batch of the same config and size."""
+        arrays = snap["state"]
+        if set(arrays) != set(vars(self.state)) or len(snap["rngs"]) != self.num_envs:
+            raise ArtifactMismatchError("env batch snapshot does not match this batch")
+        for g, rng_state in zip(self.rngs, snap["rngs"]):
+            g.bit_generator.state = rng_state
+        self.state = EnvState(**{k: np.array(v, dtype=getattr(self.state, k).dtype)
+                                 for k, v in arrays.items()})

@@ -138,6 +138,12 @@ def evaluate(checkpoint: str, terrains: list[str], levels: list[int],
     """E episodes per (terrain, level, seed, mode); statistics are aggregated
     over seeds with their sample counts. Writes report.json/report.csv and a
     planner trace JSONL when out_dir is given."""
+    if episodes < 1:
+        raise ConfigError("episodes", f"must be >= 1, got {episodes}")
+    for name, values in (("modes", modes), ("terrains", terrains), ("levels", levels),
+                         ("seeds", seeds)):
+        if not values:
+            raise ConfigError(name, "must name at least one")
     config, model, actor, _ = load_agent(checkpoint)
     for mode in modes:
         if mode not in EVAL_MODES:

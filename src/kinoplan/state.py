@@ -8,9 +8,9 @@ learned model, and the planner's constraint checks:
 `height_offset` is the crouch/extend proxy for joint state: the support leg
 length is ``leg_length + height_offset``.
 
-`advance_state` is the simulator's integrator: `PlanarEnv.step` advances
-the body through it. `InternalModel.integrate` is its autodiff twin, pinned
-to it by tests.
+`advance_state` is the simulator's integrator: `env.step_state` advances
+every env of a batch (or the one env of a `PlanarEnv`) through one call of
+it. `InternalModel.integrate` is its autodiff twin, pinned to it by tests.
 """
 
 from __future__ import annotations
@@ -76,6 +76,19 @@ def relative_rollout(states: np.ndarray, x_ref: np.ndarray) -> np.ndarray:
     return states
 
 
+def select(cond, a, b):
+    """np.where with one condition per state: `cond` has the states' leading
+    shape, and `a` and `b` may add trailing axes. A single state's scalar
+    condition makes a plain choice, at a fraction of np.where's cost on
+    numpy scalars."""
+    if isinstance(cond, (bool, np.bool_)):
+        return a if cond else b
+    extra = max(getattr(a, "ndim", 0), getattr(b, "ndim", 0)) - cond.ndim
+    if extra > 0:
+        cond = cond.reshape(cond.shape + (1,) * extra)
+    return np.where(cond, a, b)
+
+
 def advance_state(x: np.ndarray, wrench: np.ndarray, dt: float, body: BodyParams,
                   floor_at=None, gravity_on: bool = True, friction=0.0) -> np.ndarray:
     """Semi-implicit Euler step of x: (..., 7) under wrench: (..., 4) =
@@ -91,10 +104,9 @@ def advance_state(x: np.ndarray, wrench: np.ndarray, dt: float, body: BodyParams
     floor at the new position). floor_at maps horizontal positions to floor
     heights; None means free flight everywhere.
     """
-    # Unpacking the columns with .T, and indexing each np.where result with
-    # [()], keeps a single state's values numpy scalars rather than 0-d
-    # arrays, whose ufunc calls cost several times more in the simulator's
-    # per-env step.
+    # Unpacking the columns with .T, and choosing through select(), keeps a
+    # single state's values numpy scalars rather than 0-d arrays, whose ufunc
+    # calls cost several times more in the simulator's step of one env.
     px, pz, th, vx, vz, om, d = np.asarray(x, dtype=np.float64).T
     fx, fz, tau, drate = np.asarray(wrench, dtype=np.float64).T
     g = body.gravity if gravity_on else 0.0
@@ -111,11 +123,11 @@ def advance_state(x: np.ndarray, wrench: np.ndarray, dt: float, body: BodyParams
     else:
         contact = pz - (body.leg_length + d) <= floor_at(px) + body.contact_tol
         dv = np.minimum(friction * body.gravity * dt, np.abs(vx2))
-        vx2 = np.where(contact & (friction > 0.0), vx2 - np.copysign(dv, vx2), vx2)[()]
+        vx2 = select(contact & (friction > 0.0), vx2 - np.copysign(dv, vx2), vx2)
         px2 = px + dt * vx2
         vz_c = np.maximum(vz, 0.0) + dt * np.maximum(fz / body.mass - g, 0.0)
-        vz2 = np.where(contact, vz_c, vz2)[()]
+        vz2 = select(contact, vz_c, vz2)
         planted = contact & (vz2 <= 0.0)
-        pz2 = np.where(planted, floor_at(px2) + body.leg_length + d2, pz + dt * vz2)[()]
+        pz2 = select(planted, floor_at(px2) + body.leg_length + d2, pz + dt * vz2)
 
     return np.array([px2, pz2, th2, vx2, vz2, om2, d2]).T

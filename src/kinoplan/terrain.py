@@ -20,7 +20,7 @@ MAX_LEVEL = 8
 X_MIN = -3.0
 X_MAX = 12.0
 _RISER = 1e-9   # horizontal extent of a "vertical" riser segment
-_SKY = 1e9
+SKY = 1e9        # ceiling height where there is no ceiling
 
 
 def slope_angle_deg(level: int) -> float:
@@ -56,8 +56,8 @@ class TerrainProfile:
 
     def ceiling_height(self, s):
         if self.ceiling_x is None:
-            return np.full_like(np.asarray(s, dtype=np.float64), _SKY)
-        return np.interp(s, self.ceiling_x, self.ceiling_z, left=_SKY, right=_SKY)
+            return np.full_like(np.asarray(s, dtype=np.float64), SKY)
+        return np.interp(s, self.ceiling_x, self.ceiling_z, left=SKY, right=SKY)
 
     def segments(self) -> np.ndarray:
         """All surfaces as (S, 4) rows (x0, z0, x1, z1) for ray casting."""
@@ -150,34 +150,69 @@ def build_terrain(kind: str, level: int, rng: np.random.Generator | None = None,
                           ceiling_z=np.array([clearance, clearance]))
 
 
+def interp_rows(s, xp: np.ndarray, fp: np.ndarray, left=None, right=None):
+    """`np.interp` over one polyline per row, bit for bit.
+
+    xp, fp: (..., N) polylines, xp ascending, each padded to the common width
+    N by repeating its last point; s: positions with xp's leading shape, plus
+    one trailing axis of M queries per row or none. A single polyline
+    (xp of shape (N,)) goes to `np.interp` itself.
+
+    Per query, as `np.interp` does it: NaN gives NaN, positions left or
+    right of the polyline give `left`/`right` (default the end values), a
+    position on a breakpoint gives that breakpoint's value, and any other
+    (fp[j+1] - fp[j]) / (xp[j+1] - xp[j]) * (s - xp[j]) + fp[j].
+    """
+    if xp.ndim == 1:
+        return np.interp(s, xp, fp, left, right)
+    s = np.asarray(s, dtype=np.float64)
+    one = s.ndim == xp.ndim - 1
+    q = s[..., None] if one else s                                  # (..., M)
+    n = xp.shape[-1]
+    j = (xp[..., None, :] <= q[..., None]).sum(axis=-1)             # xp[j-1] <= q < xp[j]
+    rows = np.arange(0, xp.size, n).reshape(xp.shape[:-1] + (1,))
+    i0, i1 = rows + np.maximum(j - 1, 0), rows + np.minimum(j, n - 1)
+    xf, ff = xp.reshape(-1), fp.reshape(-1)
+    x0, x1, f0, f1 = xf[i0], xf[i1], ff[i0], ff[i1]
+    with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 off the polyline
+        out = (f1 - f0) / (x1 - x0) * (q - x0) + f0
+    out = np.where(x0 == q, f0, out)
+    out = np.where(q < xp[..., :1], fp[..., :1] if left is None else left, out)
+    out = np.where(q > xp[..., -1:], fp[..., -1:] if right is None else right, out)
+    out = np.where(np.isnan(q), q, out)
+    return out[..., 0] if one else out
+
+
 def raycast(origin, angles, segments: np.ndarray, max_range: float) -> np.ndarray:
     """Distance along each ray to the first segment hit, clamped to max_range.
 
-    origin: (2,); angles: (K,) absolute ray angles; segments: (S, 4).
+    origin: (..., 2); angles: (..., K) absolute ray angles; segments:
+    (..., S, 4), with the same leading shape. A segment row of NaN is never hit.
     """
     origin = np.asarray(origin, dtype=np.float64)
     angles = np.asarray(angles, dtype=np.float64)
     if segments.size == 0:
         return np.full(angles.shape, max_range)
-    d = np.stack([np.cos(angles), np.sin(angles)], axis=-1)        # (K, 2)
-    p = segments[:, 0:2]                                           # (S, 2)
-    e = segments[:, 2:4] - p                                       # (S, 2)
-    rel = p - origin                                               # (S, 2)
+    # (..., S, K) layout: one segment per row, the rays contiguous along K
+    dx, dy = np.cos(angles)[..., None, :], np.sin(angles)[..., None, :]   # (..., 1, K)
+    x0, z0, x1, z1 = (segments[..., i] for i in range(4))                 # (..., S)
+    ex, ey = (x1 - x0)[..., None], (z1 - z0)[..., None]                    # (..., S, 1)
+    rx = (x0 - origin[..., 0, None])[..., None]
+    rz = (z0 - origin[..., 1, None])[..., None]
 
-    denom = d[:, None, 0] * e[None, :, 1] - d[:, None, 1] * e[None, :, 0]   # (K, S)
+    denom = dx * ey - dy * ex
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (rel[None, :, 0] * e[None, :, 1] - rel[None, :, 1] * e[None, :, 0]) / denom
-        u = (rel[None, :, 0] * d[:, None, 1] - rel[None, :, 1] * d[:, None, 0]) / denom
+        t = (rx * ey - rz * ex) / denom
+        u = (rx * dy - rz * dx) / denom
     valid = (np.abs(denom) > 1e-12) & (t > 1e-9) & (u >= 0.0) & (u <= 1.0)
-    t = np.where(valid, t, np.inf)
-    return np.minimum(t.min(axis=1), max_range)
+    return np.minimum(np.where(valid, t, np.inf).min(axis=-2), max_range)
 
 
-def render_depth_scan(x_state, terrain: TerrainProfile, k: int, max_range: float,
+def render_depth_scan(x_state, segments: np.ndarray, k: int, max_range: float,
                       fan_lo_deg: float = -80.0, fan_hi_deg: float = 30.0) -> np.ndarray:
-    """Cast a forward fan of k rays from the body center, pitched with the body."""
+    """Cast a forward fan of k rays from the body center, pitched with the
+    body, against a terrain's `segments()`; x_state (..., 7) and segments
+    (..., S, 4) share their leading shape."""
     x_state = np.asarray(x_state, dtype=np.float64)
-    origin = x_state[0:2]
-    pitch = x_state[2]
-    angles = pitch + np.deg2rad(np.linspace(fan_lo_deg, fan_hi_deg, k))
-    return raycast(origin, angles, terrain.segments(), max_range)
+    angles = x_state[..., 2:3] + np.deg2rad(np.linspace(fan_lo_deg, fan_hi_deg, k))
+    return raycast(x_state[..., 0:2], angles, segments, max_range)

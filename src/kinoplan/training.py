@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,7 +29,8 @@ from .policy import Actor, Critic
 from .state import IDX_PX, X_DIM
 
 METRICS_SCHEMA_VERSION = 1
-RESUME_KIND = "kinoplan-resume"
+# "-2": the env batch is written as one array tree, not one snapshot per env
+RESUME_KIND = "kinoplan-resume-2"
 
 
 @dataclass
@@ -172,41 +174,35 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
         tick_ids = np.where(collector.phase % steps_per_tick == 0)[0]
         if tick_ids.size:
             tick_count += tick_ids.size
+            x_tick = envs.state.x[tick_ids]
+            floors = envs.floor_height(x_tick[:, IDX_PX], tick_ids)
             # close the previous window: the current true state ends it
-            for i in tick_ids:
+            for k, i in enumerate(tick_ids):
                 rec = collector.open_record[i]
                 if rec is not None:
-                    x_now = envs.envs[i].state.x.copy()
-                    rec["x_next"] = x_now
-                    rec["floor_next"] = float(
-                        envs.envs[i].terrain.floor_height(x_now[IDX_PX]))
+                    rec["x_next"] = x_tick[k].copy()
+                    rec["floor_next"] = float(floors[k])
                     rec["reward"] = collector.window_reward[i]
                     collector.episode_records[i].append(rec)
                 collector.window_reward[i] = 0.0
             # model tick: posterior update + imagination for the sub-batch
-            terrains = [envs.envs[i].terrain for i in tick_ids]
-
-            def multi_floor(s, _terrains=terrains):
-                s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-                return np.array([tr.floor_height(si)
-                                 for tr, si in zip(_terrains, s)])
-
             x1, h1, z1, rollout_flat = model.tick(
                 obs[tick_ids], collector.x[tick_ids], collector.h[tick_ids],
-                collector.z[tick_ids], rng=rng, floor_fn=multi_floor)
+                collector.z[tick_ids], rng=rng,
+                floor_fn=partial(envs.floor_height, rows=tick_ids))
             collector.x[tick_ids] = x1
             collector.h[tick_ids] = h1
             collector.z[tick_ids] = z1
             collector.h_cur[tick_ids] = h1
             collector.rollout_cur[tick_ids] = rollout_flat
-            for i in tick_ids:
-                x_now = envs.envs[i].state.x.copy()
+            for k, i in enumerate(tick_ids):
+                x_now = x_tick[k].copy()
                 collector.open_record[i] = {
                     "obs": obs[i].copy(),
                     "x": x_now,
                     "x_prev": (collector.episode_records[i][-1]["x"]
                                if collector.episode_records[i] else x_now),
-                    "floor_now": float(envs.envs[i].terrain.floor_height(x_now[IDX_PX])),
+                    "floor_now": float(floors[k]),
                     "env": int(i),
                     "action": None, "reward": None, "value_target": None,
                     "x_next": None, "floor_next": None,
@@ -251,7 +247,7 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
                     rec["reward"] = collector.window_reward[i]
                     collector.episode_records[i].append(rec)
                 closed_episodes.append(collector.episode_records[i])
-                collector.reset_env(i, envs.envs[i].state.x.copy())
+                collector.reset_env(i, envs.state.x[i].copy())
             else:
                 collector.phase[i] += 1
 
@@ -415,7 +411,7 @@ class Trainer:
                                    horizon)
         self.obs, self.priv = self.envs.reset_all()
         for i in range(tc.num_envs):
-            self.collector.reset_env(i, self.envs.envs[i].state.x.copy())
+            self.collector.reset_env(i, self.envs.state.x[i].copy())
 
         self.iteration = 0
         self.env_steps_total = 0
@@ -463,7 +459,7 @@ class Trainer:
         state.update(lr=[self.opt_model.lr, self.opt_ac.lr],
                      rng=[g.bit_generator.state for g in self._rngs()],
                      replay=vars(self.replay), collector=vars(self.collector),
-                     envs=[env.snapshot() for env in self.envs.envs])
+                     envs=self.envs.snapshot())
         meta = {"kind": RESUME_KIND, "config": self.cfg.to_dict(),
                 "state": _split_arrays(state, arrays, "state")}
         save_checkpoint(path, arrays, meta)
@@ -482,8 +478,7 @@ class Trainer:
             g.bit_generator.state = rng_state
         vars(self.replay).update(state.pop("replay"))
         vars(self.collector).update(state.pop("collector"))
-        for env, snap in zip(self.envs.envs, state.pop("envs")):
-            env.restore(snap)
+        self.envs.restore(state.pop("envs"))
         for k in _RESUMED_ATTRS:
             setattr(self, k, state[k])
         self.envs.level = self.level

@@ -134,6 +134,20 @@ def test_eval_deterministic_given_seed(tmp_path, trained_checkpoint):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("flag, value", [("--episodes", "0"), ("--seeds", ""),
+                                         ("--mode", ""), ("--terrains", ""),
+                                         ("--levels", "")])
+def test_eval_rejects_empty_inputs(tmp_path, trained_checkpoint, capsys, flag, value):
+    args = {"--mode": "policy_only", "--terrains": "flat", "--levels": "0",
+            "--seeds": "0", "--episodes": "1", flag: value}
+    out = tmp_path / "e"
+    code = main(["eval", "--checkpoint", trained_checkpoint, "--out", str(out),
+                 *[part for item in args.items() for part in item]])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_trace_columns(tmp_path, trained_checkpoint):
     out = tmp_path / "tr"
     code = main(["trace", "--checkpoint", trained_checkpoint, "--terrain", "flat",
@@ -187,3 +201,15 @@ def test_out_root_env_var(tmp_path, monkeypatch):
     assert main(["train", "--config", str(cfg_path)]) == 0
     runs = os.listdir(tmp_path / "root")
     assert len(runs) == 1 and runs[0].startswith("smoke_s1")
+
+
+def test_train_out_dir_from_flag_then_config(tmp_path, monkeypatch):
+    monkeypatch.setenv("KINOPLAN_OUT_ROOT", str(tmp_path / "root"))
+    cfg_path = _write_config(tmp_path, seed=1, out_dir=str(tmp_path / "from_config"),
+                             train={**TINY_TRAIN, "iterations": 1})
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert "metrics.jsonl" in os.listdir(tmp_path / "from_config")
+    assert main(["train", "--config", str(cfg_path), "--out",
+                 str(tmp_path / "from_flag")]) == 0
+    assert "metrics.jsonl" in os.listdir(tmp_path / "from_flag")
+    assert not (tmp_path / "root").exists()

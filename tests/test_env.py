@@ -1,15 +1,18 @@
 """Planar environment: physics, rewards, events, observations, curriculum."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
-from kinoplan.env import (ACTION_DIM, EnvBatch, EnvConfig, PlanarEnv, PROPRIO_DIM,
-                          REWARD_SCALES, SCAN_DOT_COUNT, curriculum_advance,
-                          lin_tracking_reward, total_reward)
+from kinoplan.env import (ACTION_DIM, EnvBatch, EnvConfig, EnvState, PlanarEnv,
+                          PROPRIO_DIM, REWARD_SCALES, SCAN_DOT_COUNT, curriculum_advance,
+                          env_seeds, lin_tracking_reward, observe, step_state,
+                          total_reward)
 from kinoplan.errors import ConfigError
-from kinoplan.state import IDX_OFFSET, IDX_PX, IDX_VX, IDX_VZ, advance_state, foot_height
+from kinoplan.state import (IDX_OFFSET, IDX_PX, IDX_PZ, IDX_VX, IDX_VZ, advance_state,
+                            foot_height)
 
 FLAT = EnvConfig(terrain_jitter=False)
 
@@ -337,3 +340,176 @@ def test_batch_step_and_terminal_info():
                 done_seen = True
                 assert "terminal_x" in info and "terminal_floor" in info
     assert done_seen
+
+
+# -- batched stepping ----------------------------------------------------------------------
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+def _step_pair(batch, singles, actions):
+    """Step a batch and its independently stepped single envs with the same
+    actions; require bit-identical obs, priv, rewards, dones and infos."""
+    obs, priv, rewards, dones, infos = batch.step(actions)
+    for i, env in enumerate(singles):
+        o, p, r, _, done, info = env.step(actions[i])
+        if done:
+            x = env.state.x.copy()
+            info = {**info, "terminal_x": x,
+                    "terminal_floor": float(env.terrain.floor_height(x[IDX_PX]))}
+            o, p = env.reset(level=batch.level)
+        got = dict(infos[i])
+        assert _bits(got.pop("terminal_x", [])) == _bits(info.pop("terminal_x", []))
+        assert got == info
+        assert _bits(obs[i]) == _bits(o) and _bits(priv[i]) == _bits(p)
+        assert _bits(rewards[i]) == _bits(r) and dones[i] == done
+    return dones
+
+
+@pytest.mark.parametrize("kind", ["flat", "slope", "stairs", "gap", "crawl"])
+def test_batch_matches_independent_envs(kind):
+    """B batched envs and B PlanarEnvs built from the batch's child seeds stay
+    bit-identical through random and NaN actions, resets and level changes."""
+    rng = np.random.default_rng(7)
+    for level, frictionless in ((1, False), (5, True), (8, False)):
+        cfg = EnvConfig(terrain_kind=kind, terrain_level=level, max_steps=40,
+                        frictionless=frictionless)
+        batch = EnvBatch(cfg, 4, seed=level)
+        singles = [PlanarEnv(cfg, seed=s) for s in env_seeds(level, 4)]
+        obs, priv = batch.reset_all()
+        for i, env in enumerate(singles):
+            o, p = env.reset(level=level)
+            assert _bits(obs[i]) == _bits(o) and _bits(priv[i]) == _bits(p)
+        resets = 0
+        for t in range(90):
+            if t == 45:
+                batch.level = max(level - 1, 0)     # as the curriculum does
+            actions = cfg.to_physical(rng.normal(0.0, 0.7, size=(4, ACTION_DIM)))
+            if t == 10:
+                actions[1, 0] = np.nan              # the fault path
+            resets += int(_step_pair(batch, singles, actions).sum())
+        assert resets > 0
+
+
+def test_padded_batch_of_mixed_terrains_matches_single_envs():
+    """Rows of different terrain kinds share one padded state: stacking and
+    widening by put() change no env's step."""
+    kinds = ("flat", "crawl", "slope", "gap", "stairs")
+    singles = [PlanarEnv(EnvConfig(terrain_kind=k, terrain_level=6, frictionless=True),
+                         seed=i) for i, k in enumerate(kinds)]
+    states = []
+    for env in singles:
+        env.reset()
+        # standing at x = 0, where a padding value of 0 would read as an edge
+        env.state.x[IDX_PX] = 0.0
+        env.state.x[IDX_PZ] = env.terrain.floor_height(0.0) + env.cfg.body.leg_length
+        states.append(copy.deepcopy(env.state))
+    batch = EnvState.stack([states[0]] * len(kinds))
+    for i, st in enumerate(states[1:], start=1):
+        batch.put(i, st)                            # widens the terrain arrays
+    assert batch.floor_x.shape[1] == max(len(e.terrain.floor_x) for e in singles)
+    cfg = singles[0].cfg
+    rng = np.random.default_rng(3)
+    for _ in range(60):
+        # mostly planted (f_z below the weight), creeping forward
+        actions = cfg.to_physical(rng.normal([0.1, -0.3, 0.0, 0.0], 0.3,
+                                             size=(len(kinds), ACTION_DIM)))
+        out = step_state(cfg, batch, actions)
+        obs, priv = observe(cfg, batch)
+        for i, env in enumerate(singles):
+            o, p, r, _, done, _ = env.step(actions[i])
+            assert _bits(out.reward[i]) == _bits(r) and bool(out.code[i]) == done
+            assert _bits(obs[i]) == _bits(o) and _bits(priv[i]) == _bits(p)
+            assert _bits(batch.x[i]) == _bits(env.state.x)
+
+
+def test_batch_resume_matches_independent_envs(tmp_path):
+    """A batch written by save_resume_state and read back by
+    load_resume_state steps on exactly like the envs it was built from."""
+    from kinoplan.config import smoke_config
+    from kinoplan.training import Trainer
+
+    config = smoke_config(0, env={"terrain_kind": "stairs", "terrain_level": 4,
+                                  "terrain_jitter": True, "max_steps": 25},
+                          train={"num_envs": 3})
+    cfg = config.env
+    first = Trainer(config, str(tmp_path / "a"))
+    first.envs = EnvBatch(cfg, 3, seed=11)
+    first.envs.reset_all()
+    singles = [PlanarEnv(cfg, seed=s) for s in env_seeds(11, 3)]
+    for env in singles:
+        env.reset()
+    rng = np.random.default_rng(5)
+
+    def run(batch, steps):
+        for _ in range(steps):
+            _step_pair(batch, singles, cfg.to_physical(rng.normal(0.0, 0.7, (3, ACTION_DIM))))
+
+    run(first.envs, 30)
+    first.save_resume_state(str(tmp_path / "resume.kpt"))
+    second = Trainer(config, str(tmp_path / "b"))
+    second.load_resume_state(str(tmp_path / "resume.kpt"))
+    assert second.envs.state.contact.dtype == bool
+    run(second.envs, 30)
+
+
+def test_fault_reports_only_a_stumble_found_before_it():
+    """A NaN torque faults the step after the riser check ran: the env ends
+    with only the stumble event, no reward, and its state unchanged."""
+    env = make_env(terrain_kind="stairs", terrain_level=8, frictionless=True)
+    env.reset()
+    push = np.array([20.0, 0.0, 0.0, 0.0])
+    for _ in range(400):
+        before = copy.deepcopy(env)
+        if env.step(push)[5]["events"].get("stumble"):
+            break
+    else:
+        pytest.fail("never reached a riser")
+    x = before.state.x.copy()
+    _, _, r, terms, done, info = before.step(np.array([20.0, 0.0, np.nan, 0.0]))
+    assert done and info["fault"] and info["events"] == {"stumble": True}
+    assert r == 0.0 and terms == {} and np.array_equal(before.state.x, x)
+
+
+def _reference_reward(x, a, prev_a, prev_hr, hr, v_cmd, events, cfg):
+    """One env's reward in plain Python floats and libm, term by term."""
+    half = (np.asarray(cfg.action_high) - np.asarray(cfg.action_low)) / 2.0
+    da = (a - prev_a) / half
+    err = min(abs(float(x[3])), v_cmd + 0.1) - v_cmd
+    raw = {"lin_tracking": math.exp(-err * err / cfg.sigma_lin),
+           "ang_tracking": math.exp(-float(x[5]) ** 2 / cfg.sigma_ang),
+           "torques": -float(np.sum(a[:3] ** 2)),
+           "dof_acc": -((hr - prev_hr) / cfg.dt) ** 2,
+           "action_rate": float(np.sum(da * da)),
+           "dof_error": float(x[6]) ** 2,
+           "z_vel": float(x[4]) ** 2,
+           "feet_air": events["air_time"] if events["landed"] else 0.0}
+    for k in ("collision", "stumble", "edge", "stuck"):
+        raw[k] = 1.0 if events[k] else 0.0
+    terms = {k: REWARD_SCALES[k] * raw[k] for k in REWARD_SCALES}
+    return sum(terms.values()), terms
+
+
+def test_batched_reward_matches_scalar_libm_reference(rng):
+    """Over a batch, every term and the total equal the one-env reference
+    bit for bit: libm's exp and pow, and the terms summed in table order."""
+    n = 3000
+    x = rng.normal(size=(n, 7))
+    # a value whose square by libm's pow differs from v * v in the last bit
+    odd = next(v for v in rng.normal(size=100_000) if v * v != v ** 2)
+    x[:10, 4:7] = odd
+    a = rng.uniform(*FLAT.action_box(), size=(n, ACTION_DIM))
+    prev_a = rng.uniform(*FLAT.action_box(), size=(n, ACTION_DIM))
+    prev_hr, hr, v_cmd = rng.normal(size=(3, n))
+    flags = rng.integers(0, 2, size=(5, n)).astype(bool)
+    events = dict(zip(("landed", "collision", "stumble", "edge", "stuck"), flags))
+    events["air_time"] = rng.uniform(0.0, 1.0, n)
+    total, terms = total_reward(x, a, prev_a, prev_hr, hr, v_cmd, events, FLAT)
+    for i in range(n):
+        ev = {k: v[i] for k, v in events.items()}
+        want_total, want = _reference_reward(x[i], a[i], prev_a[i], prev_hr[i], hr[i],
+                                             v_cmd[i], ev, FLAT)
+        assert _bits(total[i]) == _bits(want_total)
+        for k in REWARD_SCALES:
+            assert _bits(terms[k][i]) == _bits(want[k]), k

@@ -5,8 +5,8 @@ import pytest
 
 from kinoplan.errors import ConfigError
 from kinoplan.state import BodyParams
-from kinoplan.terrain import (MAX_LEVEL, TERRAIN_KINDS, build_terrain,
-                              crawl_clearance, gap_width, raycast,
+from kinoplan.terrain import (MAX_LEVEL, TERRAIN_KINDS, X_MAX, X_MIN, build_terrain,
+                              crawl_clearance, gap_width, interp_rows, raycast,
                               render_depth_scan, slope_angle_deg, step_rise)
 
 # the level-defining scalar of each kind, oriented so harder is larger
@@ -97,9 +97,9 @@ def test_scan_ignores_terrain_behind():
     ahead.floor_z = np.array([0.0, 0.0, 2.0, 2.0, 0.0, 0.0])
     x = np.zeros(7)
     x[1] = 0.5
-    s1 = render_depth_scan(x, t1, 32, 3.0)
-    s_behind = render_depth_scan(x, behind, 32, 3.0)
-    s_ahead = render_depth_scan(x, ahead, 32, 3.0)
+    s1 = render_depth_scan(x, t1.segments(), 32, 3.0)
+    s_behind = render_depth_scan(x, behind.segments(), 32, 3.0)
+    s_ahead = render_depth_scan(x, ahead.segments(), 32, 3.0)
     # a wall behind changes nothing (up to representation roundoff);
     # the same wall ahead plainly does
     assert np.max(np.abs(s1 - s_behind)) < 1e-9
@@ -110,14 +110,38 @@ def test_scan_values_positive_and_clamped():
     for kind in TERRAIN_KINDS:
         t = build_terrain(kind, 5)
         x = np.array([1.0, t.floor_height(1.0) + 0.5, 0.1, 0, 0, 0, 0])
-        scan = render_depth_scan(x, t, 64, 3.0)
+        scan = render_depth_scan(x, t.segments(), 64, 3.0)
         assert np.all(scan > 0.0) and np.all(scan <= 3.0)
 
 
 def test_crawl_scan_sees_ceiling_wall():
     t = build_terrain("crawl", 8)
     x = np.array([2.0, 0.5, 0.0, 0, 0, 0, 0])
-    scan_with = render_depth_scan(x, t, 64, 3.0)
+    scan_with = render_depth_scan(x, t.segments(), 64, 3.0)
     flat = build_terrain("flat", 0)
-    scan_without = render_depth_scan(x, flat, 64, 3.0)
+    scan_without = render_depth_scan(x, flat.segments(), 64, 3.0)
     assert np.any(scan_with < scan_without)  # slab face intercepts forward rays
+
+
+def test_interp_rows_is_np_interp_bit_for_bit():
+    """The batched lookup over padded polylines equals np.interp per row at
+    breakpoints, between them, on 1e-9 risers, outside the polyline and on
+    NaN, with default and given end values."""
+    rng = np.random.default_rng(0)
+    profiles = [build_terrain(kind, 6, rng, jitter=True) for kind in TERRAIN_KINDS]
+    width = max(len(t.floor_x) for t in profiles)
+    xp = np.stack([np.pad(t.floor_x, (0, width - len(t.floor_x)), mode="edge")
+                   for t in profiles])
+    fp = np.stack([np.pad(t.floor_z, (0, width - len(t.floor_z)), mode="edge")
+                   for t in profiles])
+    specials = [X_MIN - 1.0, X_MAX + 1.0, np.nan, -np.inf, np.inf]
+    queries = np.stack([np.concatenate([x, x + 5e-10, x - 1e-12,   # 5e-10: on a riser
+                                        rng.uniform(X_MIN - 2.0, X_MAX + 2.0, 200),
+                                        specials]) for x in xp])
+    for left, right in ((None, None), (-7.0, 9.0)):
+        got = interp_rows(queries, xp, fp, left, right)
+        for i, t in enumerate(profiles):
+            want = np.interp(queries[i], t.floor_x, t.floor_z, left, right)
+            assert got[i].tobytes() == want.tobytes()
+        one = interp_rows(queries[:, 7], xp, fp, left, right)   # one query per row
+        assert one.tobytes() == got[:, 7].tobytes()

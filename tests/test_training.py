@@ -12,7 +12,7 @@ from kinoplan import autodiff as ad
 from kinoplan import training
 from kinoplan.autodiff import Tensor
 from kinoplan.config import smoke_config
-from kinoplan.env import EnvBatch, EnvConfig, PlanarEnv
+from kinoplan.env import EnvBatch, EnvConfig, PlanarEnv, env_seeds
 from kinoplan.errors import ArtifactMismatchError, DataError, TrainingError
 from kinoplan.nn import param_checksum
 from kinoplan.training import (Collector, SequenceReplay, Trainer, compute_gae,
@@ -107,13 +107,6 @@ def test_advantage_scaling_preserves_preferred_candidate(rng):
 # -- collector contracts -----------------------------------------------------------------
 
 
-def _setup(num_envs=2, seed=0, max_steps=10_000, **env_kw):
-    cfg = smoke_config(seed, env={"max_steps": max_steps, **env_kw},
-                       train={"num_envs": num_envs})
-    trainer = Trainer(cfg, out_dir=os.path.join("/tmp", f"kp_test_{seed}"))
-    return cfg, trainer
-
-
 def _calm_actor(trainer):
     """Pin the policy near zero action so nothing terminates mid-test."""
     last = trainer.actor.trunk.layers[-1]
@@ -153,28 +146,19 @@ def test_collect_h_held_fixed_within_windows(tmp_path):
     assert not np.array_equal(h[0], h[K])
 
 
-def test_collect_rewards_match_env_replay(tmp_path):
-    """Scripted constant actions: rewards recomputed by stepping a fresh,
-    identically seeded environment agree exactly."""
+def test_collect_rewards_match_env_replay():
+    """Scripted constant actions: a one-env batch and a PlanarEnv built from
+    the batch's child seed earn exactly the same rewards."""
     env_cfg = EnvConfig(terrain_jitter=False, max_steps=100000)
     batch_env = EnvBatch(env_cfg, 1, seed=123)
-    obs, priv = batch_env.reset_all()
-    actions = np.tile(np.array([[0.2, 0.1, 0.0, 0.05]]), (1, 1))
-    rewards = []
+    batch_env.reset_all()
+    replay_env = PlanarEnv(env_cfg, seed=env_seeds(123, 1)[0])
+    replay_env.reset()
+    action = env_cfg.to_physical(np.array([0.2, 0.1, 0.0, 0.05]))
     for _ in range(40):
-        _, _, r, dones, _ = batch_env.step(
-            np.stack([env_cfg.to_physical(a) for a in actions]))
-        rewards.append(r[0])
+        _, _, r, dones, _ = batch_env.step(action[None])
         assert not dones[0]
-
-    replay_env = PlanarEnv(env_cfg, seed=batch_env.envs[0].rng.bit_generator.state and 123)
-    # EnvBatch spawns child seeds; replay through an exact clone instead
-    clone = EnvBatch(env_cfg, 1, seed=123)
-    clone.reset_all()
-    for k in range(40):
-        _, _, r, _, _ = clone.step(
-            np.stack([env_cfg.to_physical(a) for a in actions]))
-        assert r[0] == rewards[k]
+        assert r[0] == replay_env.step(action)[2]
 
 
 def test_replay_sequences_and_missing_fields(rng):
