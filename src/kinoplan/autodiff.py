@@ -233,18 +233,18 @@ def matmul(a, b) -> Tensor:
     if a.data.shape[-1] != b.data.shape[0]:
         raise DimensionError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     data = a.data @ b.data
-    if not _tracked(a, b):
+    need_a, need_b = _tracked(a), _tracked(b)
+    if not (need_a or need_b):
         return Tensor(data)
 
     def backward(g):
         ad, bd = a.data, b.data
-        if ad.ndim == 1 and bd.ndim == 2:       # (I,)@(I,O) -> (O,)
-            return g @ bd.T, np.outer(ad, g)
-        if ad.ndim == 2 and bd.ndim == 1:       # (B,I)@(I,) -> (B,)
-            return np.outer(g, bd), ad.T @ g
-        if ad.ndim == 1 and bd.ndim == 1:       # (I,)@(I,) -> ()
-            return g * bd, g * ad
-        return g @ bd.T, ad.T @ g               # (B,I)@(I,O) -> (B,O)
+        ga = gb = None                          # none for an operand off the tape
+        if need_a:
+            ga = g @ bd.T if bd.ndim == 2 else (np.outer(g, bd) if ad.ndim == 2 else g * bd)
+        if need_b:
+            gb = ad.T @ g if ad.ndim == 2 else (np.outer(ad, g) if bd.ndim == 2 else g * ad)
+        return ga, gb
 
     return _node(data, (a, b), backward)
 
@@ -278,11 +278,11 @@ def sigmoid(a) -> Tensor:
 def elu(a) -> Tensor:
     a = as_tensor(a)
     neg = np.expm1(np.minimum(a.data, 0.0))
-    data = np.where(a.data > 0.0, a.data, neg)
+    data = np.maximum(a.data, 0.0) + neg
     if not _tracked(a):
         return Tensor(data)
-    local = np.where(a.data > 0.0, 1.0, neg + 1.0)
-    return _node(data, (a,), lambda g: (g * local,))
+    # neg is 0 wherever a > 0, so neg + 1 is the local slope on both sides
+    return _node(data, (a,), lambda g: (g * (neg + 1.0),))
 
 
 def relu(a) -> Tensor:

@@ -3,6 +3,8 @@
 Subcommands:
     train   --config cfg.json [--out DIR]   (default: the config's out_dir,
             else a new directory under the output root)
+    train   --resume RUN_DIR                continue RUN_DIR from its
+            resume_state.kpt to the config's train.iterations
     eval    --checkpoint ck.kpt --mode planner[,policy_only,...] [--terrains ...]
             [--levels ...] [--seeds ...] [--episodes N] [--out DIR]
     trace   --checkpoint ck.kpt --terrain gap [--level N] [--seed N] [--out DIR]
@@ -42,11 +44,16 @@ def _run_dir(root: str, tag: str, seed: int) -> str:
 
 
 def cmd_train(args) -> int:
-    from .training import train
-    config = ExperimentConfig.load(args.config)
-    out_dir = (args.out or config.out_dir
-               or _run_dir(_out_root(None), config.run_tag, config.seed))
-    run_dir = train(config, out_dir)
+    from .training import resume, train
+    if args.resume:
+        if args.out:
+            raise ConfigError("--out", "a resumed run continues in RUN_DIR")
+        run_dir = resume(args.resume)
+    else:
+        config = ExperimentConfig.load(args.config)
+        out_dir = (args.out or config.out_dir
+                   or _run_dir(_out_root(None), config.run_tag, config.seed))
+        run_dir = train(config, out_dir)
     print(f"run directory: {run_dir}")
     return EXIT_OK
 
@@ -87,8 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    t = sub.add_parser("train", help="train from a config file")
-    t.add_argument("--config", required=True)
+    t = sub.add_parser("train", help="train from a config file, or resume a run")
+    source = t.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config")
+    source.add_argument("--resume", metavar="RUN_DIR")
     t.add_argument("--out", default=None)
     t.set_defaults(func=cmd_train)
 

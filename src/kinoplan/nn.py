@@ -276,6 +276,10 @@ class Adam:
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
 
     def step(self):
+        """One update of m, v and every parameter, all in place; each element
+        sees the same operations, in the same order, as the textbook
+        m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+        p = p - lr*(m/b1t) / (sqrt(v/b2t) + eps)."""
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
@@ -285,9 +289,20 @@ class Adam:
                 g = np.zeros_like(p.data)
             elif not np.isfinite(g).all():
                 raise TrainingError(f"non-finite gradient for parameter '{name}'")
-            m = self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            p.data = p.data - self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            gg = (1.0 - self.beta2) * g
+            gg *= g
+            v *= self.beta2
+            v += gg
+            delta = m / b1t
+            delta *= self.lr
+            denom = v / b2t
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            delta /= denom
+            p.data -= delta
 
     def zero_grad(self):
         for p in self.params.values():

@@ -164,8 +164,16 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
     Returns (batch: RolloutBatch, obs, priv, episode_infos, tick_count).
     """
     B = envs.num_envs
-    rows = {k: [] for k in ("obs", "priv", "h", "rollout", "actions",
-                            "log_probs", "rewards", "dones")}
+    # PPO rows go straight into (T, B, ...) arrays; values gets the bootstrap
+    # row T, and each step's B critic values are computed as it is collected
+    values = np.empty((steps + 1, B))
+    batch = RolloutBatch(
+        obs=np.empty((steps, *obs.shape)), priv=np.empty((steps, *priv.shape)),
+        h=np.empty((steps, *collector.h_cur.shape)),
+        rollout=np.empty((steps, *collector.rollout_cur.shape)),
+        actions=np.empty((steps, B, actor.action_dim)), log_probs=np.empty((steps, B)),
+        rewards=np.empty((steps, B)), dones=np.empty((steps, B)),
+        values=values[:-1], generation=generation)
     episode_infos = []
     closed_episodes: list[list[dict]] = []
     tick_count = 0
@@ -215,6 +223,7 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
             else:
                 actions = dist.sample(rng=rng).data
             log_probs = dist.log_prob(actions).data
+            values[t] = critic(priv, collector.h_cur, collector.rollout_cur).data
         # PPO rows keep the raw sample that log_probs scores; the env and the
         # replay records get the executed action, clipped to the box
         executed = np.clip(actions, -1.0, 1.0)
@@ -223,18 +232,18 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
             collector.open_record[i]["action"] = executed[i].copy()
             collector.open_record[i]["t_index"] = t
 
-        rows["obs"].append(obs.copy())
-        rows["priv"].append(priv.copy())
-        rows["h"].append(collector.h_cur.copy())
-        rows["rollout"].append(collector.rollout_cur.copy())
-        rows["actions"].append(actions.copy())
-        rows["log_probs"].append(log_probs.copy())
+        batch.obs[t] = obs
+        batch.priv[t] = priv
+        batch.h[t] = collector.h_cur
+        batch.rollout[t] = collector.rollout_cur
+        batch.actions[t] = actions
+        batch.log_probs[t] = log_probs
 
         phys = envs.cfg.to_physical(executed)
         obs, priv, rewards, dones, infos = envs.step(phys)
         collector.window_reward += rewards
-        rows["rewards"].append(rewards)
-        rows["dones"].append(dones.astype(np.float64))
+        batch.rewards[t] = rewards
+        batch.dones[t] = dones
 
         for i in range(B):
             if dones[i]:
@@ -251,21 +260,9 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
             else:
                 collector.phase[i] += 1
 
-    batch = RolloutBatch(
-        obs=np.stack(rows["obs"]), priv=np.stack(rows["priv"]),
-        h=np.stack(rows["h"]), rollout=np.stack(rows["rollout"]),
-        actions=np.stack(rows["actions"]), log_probs=np.stack(rows["log_probs"]),
-        rewards=np.stack(rows["rewards"]), dones=np.stack(rows["dones"]),
-        values=np.zeros((steps, B)), generation=generation)
-
-    # privileged value estimates and GAE targets
+    # bootstrap value of the state after the last step, then GAE targets
     with no_grad():
-        flat_vals = critic(batch.priv.reshape(steps * B, -1),
-                           batch.h.reshape(steps * B, -1),
-                           batch.rollout.reshape(steps * B, -1)).data
-        tail = critic(priv, collector.h_cur, collector.rollout_cur).data
-    values = np.concatenate([flat_vals.reshape(steps, B), tail[None]], axis=0)
-    batch.values = values[:-1]
+        values[steps] = critic(priv, collector.h_cur, collector.rollout_cur).data
     batch.advantages, batch.returns = compute_gae(batch.rewards, values,
                                                   batch.dones, gamma, lam)
 
@@ -306,39 +303,43 @@ def ppo_update(batch: RolloutBatch, actor: Actor, critic: Critic, optimizer: Ada
     if normalize_advantages:
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
+    def minibatch_step(mb) -> dict:
+        """One optimizer step on rows `mb`. Only floats leave it, so its tape
+        is freed before the next minibatch builds one."""
+        dist = actor(obs[mb], h[mb], roll[mb])
+        logp = dist.log_prob(actions[mb])
+        ratio = ad.exp(logp - logp_old[mb])
+        finite = np.isfinite(ratio.data)
+        adv_mb = adv[mb]
+        surr = ad.minimum(ratio * adv_mb,
+                          ad.clip(ratio, 1.0 - clip_ratio, 1.0 + clip_ratio) * adv_mb)
+        surr = ad.where(finite, surr, np.zeros_like(adv_mb))
+        denom = max(int(finite.sum()), 1)
+        policy_term = ad.sum_(surr) * (1.0 / denom)
+        entropy = ad.mean(dist.entropy())
+        vpred = critic(priv[mb], h[mb], roll[mb])
+        value_loss = ad.mean(ad.square(vpred - returns[mb]))
+        loss = -policy_term - entropy_coef * entropy + value_loss
+        if not np.isfinite(float(loss.data)):
+            raise TrainingError("non-finite PPO loss")
+        optimizer.zero_grad()
+        loss.backward()
+        clip_grad_norm(optimizer.params, grad_clip)
+        optimizer.step()
+        return {"policy_loss": float(-policy_term.data),
+                "value_loss": float(value_loss.data),
+                "entropy": float(entropy.data),
+                "clip_fraction": float(np.mean(np.abs(ratio.data - 1.0) > clip_ratio)),
+                "skipped": int((~finite).sum())}
+
     stats = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0,
              "clip_fraction": 0.0, "skipped": 0}
     updates = 0
     for _ in range(epochs):
         perm = rng.permutation(n)
         for mb in np.array_split(perm, minibatches):
-            dist = actor(obs[mb], h[mb], roll[mb])
-            logp = dist.log_prob(actions[mb])
-            ratio = ad.exp(logp - logp_old[mb])
-            finite = np.isfinite(ratio.data)
-            stats["skipped"] += int((~finite).sum())
-            adv_mb = adv[mb]
-            surr = ad.minimum(ratio * adv_mb,
-                              ad.clip(ratio, 1.0 - clip_ratio, 1.0 + clip_ratio) * adv_mb)
-            surr = ad.where(finite, surr, np.zeros_like(adv_mb))
-            denom = max(int(finite.sum()), 1)
-            policy_term = ad.sum_(surr) * (1.0 / denom)
-            entropy = ad.mean(dist.entropy())
-            vpred = critic(priv[mb], h[mb], roll[mb])
-            value_loss = ad.mean(ad.square(vpred - returns[mb]))
-            loss = -policy_term - entropy_coef * entropy + value_loss
-            if not np.isfinite(float(loss.data)):
-                raise TrainingError("non-finite PPO loss")
-            optimizer.zero_grad()
-            loss.backward()
-            clip_grad_norm(optimizer.params, grad_clip)
-            optimizer.step()
-
-            stats["policy_loss"] += float(-policy_term.data)
-            stats["value_loss"] += float(value_loss.data)
-            stats["entropy"] += float(entropy.data)
-            stats["clip_fraction"] += float(
-                np.mean(np.abs(ratio.data - 1.0) > clip_ratio))
+            for key, value in minibatch_step(mb).items():
+                stats[key] += value
             updates += 1
     for key in ("policy_loss", "value_loss", "entropy", "clip_fraction"):
         stats[key] /= max(updates, 1)
@@ -586,3 +587,14 @@ class Trainer:
 def train(config: ExperimentConfig, out_dir: str) -> str:
     """Train per the configuration; returns the run directory."""
     return Trainer(config, out_dir).run()
+
+
+def resume(run_dir: str) -> str:
+    """Continue the run in `run_dir` from its resume_state.kpt up to its
+    config's train.iterations, appending to its metrics.jsonl."""
+    state_path = os.path.join(run_dir, "resume_state.kpt")
+    if not os.path.isfile(state_path):
+        raise ArtifactMismatchError(f"no resume state in {run_dir}")
+    trainer = Trainer(ExperimentConfig.load(os.path.join(run_dir, "config.json")), run_dir)
+    trainer.load_resume_state(state_path)
+    return trainer.run()

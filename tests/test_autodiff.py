@@ -167,3 +167,38 @@ def test_seeded_evaluation_is_bit_identical():
     (l1, g1), (l2, g2) = run(), run()
     assert l1.tobytes() == l2.tobytes()
     assert g1.tobytes() == g2.tobytes()
+
+
+def test_elu_matches_reference_bit_for_bit(rng):
+    """elu as max(x, 0) + expm1(min(x, 0)) gives the same bits, value and
+    gradient, as the two-branch select it replaced, signed zeros included."""
+    tiny = np.finfo(np.float64).smallest_subnormal
+    special = [0.0, -0.0, tiny, -tiny, 1e-300, -1e-300, np.inf, -np.inf, np.nan]
+    x = np.concatenate([special, rng.normal(size=500), 30.0 * rng.normal(size=100)])
+    neg = np.expm1(np.minimum(x, 0.0))
+    ref_value = np.where(x > 0.0, x, neg)
+    ref_grad = 0.7 * np.where(x > 0.0, 1.0, neg + 1.0)
+
+    t = Tensor(x, requires_grad=True)
+    y = ad.elu(t)
+    y.backward(np.full_like(x, 0.7))
+    for got, ref in ((y.data, ref_value), (t.grad, ref_grad)):
+        assert got.tobytes() == ref.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def test_matmul_skips_constant_operand_gradient(rng):
+    x = rng.normal(size=(5, 3))
+    w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    g = rng.normal(size=(5, 4))
+    out = ad.matmul(Tensor(x), w)
+    gx, gw = out._backward(g)
+    assert gx is None
+    assert gw.tobytes() == (x.T @ g).tobytes()
+    out.backward(g)
+    assert w.grad.tobytes() == (x.T @ g).tobytes()
+
+    xt = Tensor(x, requires_grad=True)
+    gx, gw = ad.matmul(xt, w)._backward(g)
+    assert gx.tobytes() == (g @ w.data.T).tobytes()
+    assert gw.tobytes() == (x.T @ g).tobytes()

@@ -11,6 +11,7 @@ import pytest
 from kinoplan.cli import main
 from kinoplan.config import ExperimentConfig, smoke_config
 from kinoplan.errors import ConfigError
+from kinoplan.training import Trainer
 
 
 def _write_config(tmp_path, seed=0, **overrides):
@@ -78,6 +79,61 @@ def test_train_creates_run_directory(tmp_path):
     # resolved config reloads to an identical object
     reloaded = ExperimentConfig.load(out / "config.json")
     assert reloaded.resolved_json() == smoke_config(0, train=TINY_TRAIN).resolved_json()
+
+
+RESUMABLE_TRAIN = {**TINY_TRAIN, "iterations": 4, "save_resume_state": True}
+
+
+def test_train_resume_finishes_an_interrupted_run(tmp_path, monkeypatch):
+    """A run stopped during iteration 3 and resumed with --resume ends with
+    the files of an uninterrupted run, byte for byte."""
+    cfg_path = _write_config(tmp_path, seed=6, train=RESUMABLE_TRAIN)
+    whole = tmp_path / "whole"
+    assert main(["train", "--config", str(cfg_path), "--out", str(whole)]) == 0
+
+    cut = tmp_path / "cut"
+    real_iteration = Trainer.run_iteration
+
+    def stops_in_iteration_3(self):
+        if self.iteration == 2:
+            raise RuntimeError("stopped")
+        return real_iteration(self)
+
+    monkeypatch.setattr(Trainer, "run_iteration", stops_in_iteration_3)
+    assert main(["train", "--config", str(cfg_path), "--out", str(cut)]) == 1
+    monkeypatch.undo()
+    assert len((cut / "metrics.jsonl").read_text().splitlines()) == 2
+
+    assert main(["train", "--resume", str(cut)]) == 0
+    for name in ("metrics.jsonl", "checkpoint_000004.kpt", "checkpoint_final.kpt",
+                 "resume_state.kpt"):
+        assert (cut / name).read_bytes() == (whole / name).read_bytes(), name
+
+
+def test_train_resume_rejects_missing_foreign_or_mismatched_state(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path, seed=6,
+                             train={**RESUMABLE_TRAIN, "iterations": 1})
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(run)]) == 0
+    state = run / "resume_state.kpt"
+    written = state.read_bytes()
+
+    assert main(["train", "--resume", str(run), "--out", str(tmp_path / "x")]) == 2
+
+    state.write_bytes((run / "checkpoint_final.kpt").read_bytes())    # foreign
+    assert main(["train", "--resume", str(run)]) == 3
+    assert "not a resume state" in capsys.readouterr().err
+
+    state.write_bytes(written)                                         # mismatched
+    (run / "config.json").write_text(
+        smoke_config(7, train={**RESUMABLE_TRAIN, "iterations": 1}).resolved_json())
+    assert main(["train", "--resume", str(run)]) == 3
+    assert "another config" in capsys.readouterr().err
+
+    state.unlink()                                                     # missing
+    assert main(["train", "--resume", str(run)]) == 3
+    assert main(["train", "--resume", str(tmp_path / "no_such_run")]) == 3
+    assert "no resume state" in capsys.readouterr().err
 
 
 def test_same_seed_twice_identical_metrics(tmp_path):

@@ -223,6 +223,35 @@ def test_adam_matches_scalar_oracle():
         assert abs(float(w.data[0]) - ref.w) < 1e-10
 
 
+def test_adam_in_place_matches_out_of_place_formula_bit_for_bit(rng):
+    """The in-place step writes into the same m, v and parameter arrays and
+    reproduces the plain array formula exactly, step after step."""
+    shapes = {"a": (7, 5), "b": (5,), "c": (3, 2, 4)}
+    params = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
+    opt = Adam(params, lr=3e-3)
+    ref_p = {k: p.data.copy() for k, p in params.items()}
+    ref_m = {k: np.zeros(s) for k, s in shapes.items()}
+    ref_v = {k: np.zeros(s) for k, s in shapes.items()}
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 3e-3
+    buffers = [(p.data, opt.m[k], opt.v[k]) for k, p in params.items()]
+    for t in range(1, 21):
+        grads = {k: rng.normal(size=s) * 10.0 ** rng.integers(-6, 3)
+                 for k, s in shapes.items()}
+        for k, p in params.items():
+            p.grad = grads[k]
+        opt.step()
+        b1t, b2t = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for k, g in grads.items():
+            ref_m[k] = b1 * ref_m[k] + (1.0 - b1) * g
+            ref_v[k] = b2 * ref_v[k] + (1.0 - b2) * g * g
+            ref_p[k] = ref_p[k] - lr * (ref_m[k] / b1t) / (np.sqrt(ref_v[k] / b2t) + eps)
+            assert params[k].data.tobytes() == ref_p[k].tobytes()
+            assert opt.m[k].tobytes() == ref_m[k].tobytes()
+            assert opt.v[k].tobytes() == ref_v[k].tobytes()
+    for (p_buf, m_buf, v_buf), (k, p) in zip(buffers, params.items()):
+        assert p.data is p_buf and opt.m[k] is m_buf and opt.v[k] is v_buf
+
+
 def test_adam_nan_gradient_names_parameter(rng):
     p = Tensor(np.zeros(2), requires_grad=True)
     opt = Adam({"layer.weight": p})

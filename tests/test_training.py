@@ -4,6 +4,7 @@ contracts, replay, stop-gradient separation, and resume determinism."""
 import json
 import os
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from kinoplan.autodiff import Tensor
 from kinoplan.config import smoke_config
 from kinoplan.env import EnvBatch, EnvConfig, PlanarEnv, env_seeds
 from kinoplan.errors import ArtifactMismatchError, DataError, TrainingError
-from kinoplan.nn import param_checksum
+from kinoplan.nn import Adam, param_checksum
+from kinoplan.policy import Actor, Critic
 from kinoplan.training import (Collector, SequenceReplay, Trainer, compute_gae,
                                collect_rollouts, ppo_update)
 
@@ -396,3 +398,39 @@ def test_first_ppo_update_stays_in_trust_region(tmp_path, seed, monkeypatch):
     mean = tr.actor(batch.obs[0], batch.h[0], batch.rollout[0]).mean.data
     assert np.all(np.abs(mean) <= 1.0), mean
     assert row["ppo"]["clip_fraction"] < 15 / 16
+
+
+def _ppo_peak_increase(minibatches: int, rows: int) -> int:
+    """Traced peak during one PPO epoch over `minibatches` minibatches of
+    `rows` rows each, above the traced level at entry."""
+    rng = np.random.default_rng(0)
+    obs_dim, priv_dim, d_h, horizon, act = 12, 14, 8, 2, 3
+    actor = Actor(obs_dim, d_h, horizon, act, rng, hidden=(64, 64))
+    critic = Critic(priv_dim, d_h, horizon, rng, hidden=(64, 64))
+    params = {f"actor.{k}": v for k, v in actor.named_parameters().items()}
+    params.update({f"critic.{k}": v for k, v in critic.named_parameters().items()})
+    opt = Adam(params, lr=1e-4)
+    T, B = minibatches * rows // 4, 4
+    batch = training.RolloutBatch(
+        obs=rng.normal(size=(T, B, obs_dim)), priv=rng.normal(size=(T, B, priv_dim)),
+        h=rng.normal(size=(T, B, d_h)), rollout=rng.normal(size=(T, B, horizon * 7)),
+        actions=rng.normal(size=(T, B, act)), log_probs=rng.normal(size=(T, B)) - 3.0,
+        rewards=rng.normal(size=(T, B)), dones=np.zeros((T, B)),
+        values=np.zeros((T, B)), advantages=rng.normal(size=(T, B)),
+        returns=rng.normal(size=(T, B)))
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ppo_update(batch, actor, critic, opt, rng, epochs=1, minibatches=minibatches)
+        return tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+
+
+def test_ppo_update_memory_does_not_grow_with_minibatches():
+    """Each minibatch's tape is freed before the next is built, so four
+    minibatches peak about as high as one of the same size."""
+    one = _ppo_peak_increase(1, 512)
+    four = _ppo_peak_increase(4, 512)
+    assert four < 1.5 * one, (one, four)
