@@ -130,10 +130,10 @@ class Tensor:
         return mul(self, -1.0)
 
     def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -np.asarray(other))
+        return sub(self, other)
 
     def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
+        return sub(other, self)
 
     def __truediv__(self, other):
         if isinstance(other, Tensor):
@@ -195,22 +195,40 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 # -- elementwise arithmetic ----------------------------------------------------
 
+# Binary ops return None for an operand that is off the tape, so no gradient
+# is formed (or summed down from a broadcast) only to be dropped.
+
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data + b.data
-    if not _tracked(a, b):
+    need_a, need_b = _tracked(a), _tracked(b)
+    if not (need_a or need_b):
         return Tensor(data)
-    return _node(data, (a, b), lambda g: (_unbroadcast(g, a.data.shape),
-                                          _unbroadcast(g, b.data.shape)))
+    return _node(data, (a, b), lambda g: (
+        _unbroadcast(g, a.data.shape) if need_a else None,
+        _unbroadcast(g, b.data.shape) if need_b else None))
+
+
+def sub(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    data = a.data - b.data
+    need_a, need_b = _tracked(a), _tracked(b)
+    if not (need_a or need_b):
+        return Tensor(data)
+    return _node(data, (a, b), lambda g: (
+        _unbroadcast(g, a.data.shape) if need_a else None,
+        -_unbroadcast(g, b.data.shape) if need_b else None))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data * b.data
-    if not _tracked(a, b):
+    need_a, need_b = _tracked(a), _tracked(b)
+    if not (need_a or need_b):
         return Tensor(data)
-    return _node(data, (a, b), lambda g: (_unbroadcast(g * b.data, a.data.shape),
-                                          _unbroadcast(g * a.data, b.data.shape)))
+    return _node(data, (a, b), lambda g: (
+        _unbroadcast(g * b.data, a.data.shape) if need_a else None,
+        _unbroadcast(g * a.data, b.data.shape) if need_b else None))
 
 
 def powi(a, exponent) -> Tensor:
@@ -269,20 +287,72 @@ def tanh(a) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    data = 0.5 * (np.tanh(0.5 * a.data) + 1.0)
+    data = 0.5 * a.data                         # 0.5 * (tanh(0.5 * a) + 1), in one buffer
+    np.tanh(data, out=data)
+    data += 1.0
+    data *= 0.5
     if not _tracked(a):
         return Tensor(data)
     return _node(data, (a,), lambda g: (g * data * (1.0 - data),))
 
 
+def _elu(pre: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max(pre, 0) + expm1(min(pre, 0)), written into `out` (which may be
+    `pre` itself) or into a new array laid out like `pre`. The layout
+    matters: a later sum over the gradient adds in memory order."""
+    neg = np.minimum(pre, 0.0)
+    np.expm1(neg, out=neg)
+    out = np.maximum(pre, 0.0, out=out)
+    out += neg
+    return out
+
+
+def _elu_slope(y: np.ndarray) -> np.ndarray:
+    """ELU's local slope from its output alone. min(y, 0) equals
+    expm1(min(pre, 0)) except for zeros of either sign, so min(y, 0) + 1 has
+    the bits of the slope expm1(min(pre, 0)) + 1, NaN and +-inf included."""
+    slope = np.minimum(y, 0.0)
+    slope += 1.0
+    return slope
+
+
 def elu(a) -> Tensor:
     a = as_tensor(a)
-    neg = np.expm1(np.minimum(a.data, 0.0))
-    data = np.maximum(a.data, 0.0) + neg
+    data = _elu(a.data)
     if not _tracked(a):
         return Tensor(data)
-    # neg is 0 wherever a > 0, so neg + 1 is the local slope on both sides
-    return _node(data, (a,), lambda g: (g * (neg + 1.0),))
+    return _node(data, (a,), lambda g: (g * _elu_slope(data),))
+
+
+def dense(x, w, b, elu: bool = False) -> Tensor:
+    """One dense layer as one tape node: x @ w + b, then ELU if `elu`.
+
+    x is (N, in), w (in, out) and b (out,). The bias and the ELU are applied
+    in place to the matmul output, and backward reads only the layer's
+    output, so the tape keeps one array per layer. Values and gradients have
+    the bits of elu(matmul(x, w) + b).
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if (x.ndim, w.ndim, b.ndim) != (2, 2, 1) or x.shape[1] != w.shape[0] \
+            or b.shape[0] != w.shape[1]:
+        raise DimensionError(f"dense expects (N, in) @ (in, out) + (out,), got "
+                             f"{x.shape} @ {w.shape} + {b.shape}")
+    data = x.data @ w.data
+    data += b.data
+    if elu:
+        _elu(data, out=data)
+    need_x, need_w, need_b = _tracked(x), _tracked(w), _tracked(b)
+    if not (need_x or need_w or need_b):
+        return Tensor(data)
+
+    def backward(g):
+        if elu:
+            g = g * _elu_slope(data)
+        return (g @ w.data.T if need_x else None,
+                x.data.T @ g if need_w else None,
+                g.sum(axis=0) if need_b else None)
+
+    return _node(data, (x, w, b), backward)
 
 
 def relu(a) -> Tensor:

@@ -80,34 +80,22 @@ def param_checksum(module: Module) -> str:
     return h.hexdigest()
 
 
-_ACTIVATIONS = {
-    "linear": lambda t: t,
-    "elu": ad.elu,
-}
-
-
 class Dense(Module):
-    """Affine transform plus an elementwise nonlinearity."""
+    """Affine transform of (N, in) rows, optionally followed by an ELU."""
 
     def __init__(self, in_size: int, out_size: int, activation: str = "linear",
                  rng: np.random.Generator | None = None):
-        if activation not in _ACTIVATIONS:
+        if activation not in ("linear", "elu"):
             raise ValueError(f"unknown activation '{activation}'")
         rng = rng if rng is not None else np.random.default_rng(0)
         scale = 1.0 / math.sqrt(in_size)
-        self.in_size = in_size
-        self.out_size = out_size
-        self.activation = activation
+        self.elu = activation == "elu"
         self.weight = Tensor(rng.normal(0.0, scale, size=(in_size, out_size)),
                              requires_grad=True, name="weight")
         self.bias = Tensor(np.zeros(out_size), requires_grad=True, name="bias")
 
     def forward(self, x) -> Tensor:
-        x = ad.as_tensor(x)
-        if x.data.shape[-1] != self.in_size:
-            raise DimensionError(
-                f"dense layer expects input size {self.in_size}, got {x.data.shape[-1]}")
-        return _ACTIVATIONS[self.activation](ad.matmul(x, self.weight) + self.bias)
+        return ad.dense(x, self.weight, self.bias, elu=self.elu)
 
 
 class MLP(Module):
@@ -155,7 +143,7 @@ class GruCell(Module):
             raise DimensionError(
                 f"gru cell expects hidden size {self.hidden_size}, got {h.data.shape[-1]}")
         n = self.hidden_size
-        gx = ad.matmul(x, self.w_x) + self.bias
+        gx = ad.dense(x, self.w_x, self.bias)
         gh = ad.matmul(h, self.w_h)
         r = ad.sigmoid(gx[..., 0:n] + gh[..., 0:n])
         u = ad.sigmoid(gx[..., n:2 * n] + gh[..., n:2 * n])
@@ -164,16 +152,15 @@ class GruCell(Module):
 
 
 class Conv1d(Module):
-    """Strided 1-D convolution layer over (B, C, L) inputs."""
+    """Strided 1-D convolution layer with ELU over (B, C, L) inputs."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int, stride: int,
-                 rng: np.random.Generator, activation: str = "elu"):
+                 rng: np.random.Generator):
         scale = 1.0 / math.sqrt(in_channels * kernel)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
         self.stride = stride
-        self.activation = activation
         self.weight = Tensor(rng.normal(0.0, scale, size=(out_channels, in_channels, kernel)),
                              requires_grad=True, name="weight")
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True, name="bias")
@@ -182,7 +169,7 @@ class Conv1d(Module):
         return (length - self.kernel) // self.stride + 1
 
     def forward(self, x) -> Tensor:
-        return _ACTIVATIONS[self.activation](ad.conv1d(x, self.weight, self.bias, self.stride))
+        return ad.elu(ad.conv1d(x, self.weight, self.bias, self.stride))
 
 
 # -- distributions ---------------------------------------------------------------

@@ -306,7 +306,8 @@ def ppo_update(batch: RolloutBatch, actor: Actor, critic: Critic, optimizer: Ada
     def minibatch_step(mb) -> dict:
         """One optimizer step on rows `mb`. Only floats leave it, so its tape
         is freed before the next minibatch builds one."""
-        dist = actor(obs[mb], h[mb], roll[mb])
+        h_mb, roll_mb = h[mb], roll[mb]         # one gather, shared by both networks
+        dist = actor(obs[mb], h_mb, roll_mb)
         logp = dist.log_prob(actions[mb])
         ratio = ad.exp(logp - logp_old[mb])
         finite = np.isfinite(ratio.data)
@@ -317,7 +318,7 @@ def ppo_update(batch: RolloutBatch, actor: Actor, critic: Critic, optimizer: Ada
         denom = max(int(finite.sum()), 1)
         policy_term = ad.sum_(surr) * (1.0 / denom)
         entropy = ad.mean(dist.entropy())
-        vpred = critic(priv[mb], h[mb], roll[mb])
+        vpred = critic(priv[mb], h_mb, roll_mb)
         value_loss = ad.mean(ad.square(vpred - returns[mb]))
         loss = -policy_term - entropy_coef * entropy + value_loss
         if not np.isfinite(float(loss.data)):

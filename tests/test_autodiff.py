@@ -202,3 +202,123 @@ def test_matmul_skips_constant_operand_gradient(rng):
     gx, gw = ad.matmul(xt, w)._backward(g)
     assert gx.tobytes() == (g @ w.data.T).tobytes()
     assert gw.tobytes() == (x.T @ g).tobytes()
+
+
+def _special_values(rng):
+    tiny = np.finfo(np.float64).smallest_subnormal
+    special = [0.0, -0.0, tiny, -tiny, 1e-300, -1e-300, np.inf, -np.inf, np.nan]
+    return np.concatenate([special, rng.normal(size=60), 30.0 * rng.normal(size=30)])
+
+
+def _same_bits(got, ref):
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+@pytest.mark.parametrize("elu", [True, False])
+def test_dense_matches_composite_bit_for_bit(elu, rng):
+    """dense(x, w, b) gives the value and the x, w and b gradients of
+    elu(matmul(x, w) + b) (or of the linear form) with the same bits."""
+    def composite(x, w, b):
+        pre = ad.matmul(x, w) + b
+        return ad.elu(pre) if elu else pre
+
+    special = _special_values(rng)
+    # x @ [[1]] + (-0.0), and a zero row of x plus a bias, hand the special
+    # values to the activation; a zero pre-activation may come out as +0.0,
+    # since a BLAS sum of signed zeros may start from +0.0
+    cases = [(special[:, None], np.ones((1, 1)), np.array([-0.0])),
+             (np.vstack([np.zeros((2, 3)), rng.normal(size=(2, 3))]),
+              rng.normal(size=(3, special.size)), special),
+             (rng.normal(size=(64, 17)), rng.normal(size=(17, 33)), rng.normal(size=33)),
+             (3.0 * rng.normal(size=(5, 4)), rng.normal(size=(4, 2)), np.array([0.0, -0.0]))]
+    pre = (ad.matmul(Tensor(cases[0][0]), Tensor(cases[0][1])) + cases[0][2]).data[:, 0]
+    assert np.array_equal(pre, special, equal_nan=True)
+    for xd, wd, bd in cases:
+        g = rng.normal(size=(xd.shape[0], wd.shape[1]))
+        results = []
+        for op in (ad.dense, composite):
+            x, w, b = (Tensor(v, requires_grad=True) for v in (xd, wd, bd))
+            y = op(x, w, b, elu=elu) if op is ad.dense else op(x, w, b)
+            with np.errstate(invalid="ignore"):      # inf * 0 in the w gradient
+                y.backward(g)
+            results.append((y.data, x.grad, w.grad, b.grad))
+        for got, ref in zip(*results):
+            _same_bits(got, ref)
+
+    # an input off the tape gets no gradient; w and b still get theirs
+    xd, wd, bd = cases[2]
+    g = rng.normal(size=(xd.shape[0], wd.shape[1]))
+    w, b = Tensor(wd, requires_grad=True), Tensor(bd, requires_grad=True)
+    y = ad.dense(Tensor(xd), w, b, elu=elu)
+    assert y._backward(g)[0] is None
+    y.backward(g)
+    ref_w, ref_b = Tensor(wd, requires_grad=True), Tensor(bd, requires_grad=True)
+    composite(Tensor(xd), ref_w, ref_b).backward(g)
+    _same_bits(w.grad, ref_w.grad)
+    _same_bits(b.grad, ref_b.grad)
+
+
+def test_dense_rejects_shapes_other_than_rows_by_features():
+    w, b = Tensor(np.zeros((3, 2))), Tensor(np.zeros(2))
+    for x in (np.zeros(3), np.zeros((2, 2, 3)), np.zeros((2, 4))):
+        with pytest.raises(DimensionError):
+            ad.dense(Tensor(x), w, b)
+    with pytest.raises(DimensionError):
+        ad.dense(Tensor(np.zeros((2, 3))), w, Tensor(np.zeros(3)))
+
+
+def test_sigmoid_matches_reference_bit_for_bit(rng):
+    """sigmoid computed in one buffer has the bits of 0.5 * (tanh(0.5 x) + 1),
+    value and gradient."""
+    x = _special_values(rng)
+    ref_value = 0.5 * (np.tanh(0.5 * x) + 1.0)
+    g = rng.normal(size=x.shape)
+    ref_grad = g * ref_value * (1.0 - ref_value)
+
+    t = Tensor(x, requires_grad=True)
+    y = ad.sigmoid(t)
+    y.backward(g)
+    _same_bits(y.data, ref_value)
+    _same_bits(t.grad, ref_grad)
+
+
+def test_sub_matches_add_of_negation_bit_for_bit(rng):
+    """a - b as one node gives the value and gradients of a + (-1 * b),
+    for a broadcast operand and for a constant on either side."""
+    ad_, bd = rng.normal(size=(6, 4)), rng.normal(size=4)
+    ad_[0, :2], bd[:2] = [0.0, -0.0], [-0.0, 0.0]
+    g = rng.normal(size=(6, 4))
+    results = []
+    for op in (lambda a, b: a - b, lambda a, b: ad.add(a, ad.mul(b, -1.0))):
+        a, b = Tensor(ad_, requires_grad=True), Tensor(bd, requires_grad=True)
+        y = op(a, b)
+        y.backward(g)
+        results.append((y.data, a.grad, b.grad))
+    for got, ref in zip(*results):
+        _same_bits(got, ref)
+
+    u = Tensor(bd, requires_grad=True)
+    y = 1.0 - u
+    assert y._backward(g[0])[0] is None      # the constant gets no gradient
+    y.backward(g[0])
+    _same_bits(y.data, -bd + 1.0)
+    _same_bits(u.grad, g[0] * -1.0)
+    a = Tensor(ad_, requires_grad=True)
+    y = a - bd
+    assert y._backward(g)[1] is None
+    _same_bits(y.data, ad_ + -bd)
+
+
+def test_add_and_mul_skip_constant_operand_gradient(rng):
+    x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    c = rng.normal(size=3)
+    g = rng.normal(size=(5, 3))
+    for op, ref in ((ad.add, g), (ad.mul, g * c)):
+        gx, gc = op(x, c)._backward(g)
+        assert gc is None
+        assert gx.tobytes() == ref.tobytes()
+        gc, gx = op(c, x)._backward(g)
+        assert gc is None
+        assert gx.tobytes() == ref.tobytes()

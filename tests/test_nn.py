@@ -1,6 +1,7 @@
 """Layer set, distribution heads, Adam, and the checkpoint format."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,27 @@ def test_dense_gradients(activation, rng):
     for name, p in layer.named_parameters().items():
         num = numeric_gradient(loss_fn, p.data)
         assert max_relative_error(p.grad, num) < 1e-4, (activation, name)
+
+
+def test_dense_elu_tape_keeps_one_array_per_layer(rng):
+    """A Dense + ELU stack holds about one activation array per layer on the
+    tape after its forward pass; a matmul, bias-add and ELU chain holds four
+    (the matmul output, the sum, the ELU output and its expm1 branch)."""
+    rows, width, depth = 2048, 256, 3
+    layers = [Dense(width, width, "elu", rng) for _ in range(depth)]
+    x = Tensor(rng.normal(size=(rows, width)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = x
+        for layer in layers:
+            out = layer(out)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    activation = rows * width * 8
+    assert out.data.shape == (rows, width)
+    assert held < 1.5 * depth * activation, held / activation
 
 
 # -- GRU cell --------------------------------------------------------------------
