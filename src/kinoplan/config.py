@@ -133,11 +133,19 @@ class ExperimentConfig:
             raise ConfigError(
                 "model.dt_model", "model timestep must equal env.dt * env.scan_every "
                 "(the two-rate contract)")
+        if self.train.replay_capacity < self.max_episode_records:
+            raise ConfigError("train.replay_capacity", "must hold the "
+                              f"{self.max_episode_records} records of the longest episode")
         return self
 
     @property
     def steps_per_tick(self) -> int:
         return self.env.scan_every
+
+    @property
+    def max_episode_records(self) -> int:
+        """Model ticks, and so replay records, in the longest episode."""
+        return -(-self.env.max_steps // self.steps_per_tick)
 
     def to_dict(self) -> dict:
         def conv(obj):

@@ -533,17 +533,13 @@ class EnvBatch:
         one position per env or a trailing axis of them."""
         return interp_rows(s, self.state.floor_x[rows], self.state.floor_z[rows])
 
-    def snapshot(self) -> dict:
-        """The batch's state as a dict/list tree of plain values and arrays."""
-        return {"rngs": [g.bit_generator.state for g in self.rngs],
-                "state": dict(vars(self.state))}
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """Copies of the batch's EnvState arrays (the env generators are `rngs`)."""
+        return {k: v.copy() for k, v in vars(self.state).items()}
 
-    def restore(self, snap: dict):
-        """Inverse of snapshot(), for a reset batch of the same config and size."""
-        arrays = snap["state"]
-        if set(arrays) != set(vars(self.state)) or len(snap["rngs"]) != self.num_envs:
-            raise ArtifactMismatchError("env batch snapshot does not match this batch")
-        for g, rng_state in zip(self.rngs, snap["rngs"]):
-            g.bit_generator.state = rng_state
+    def load_state(self, arrays: dict[str, np.ndarray]):
+        """Inverse of state_arrays(), for a reset batch of the same config and size."""
+        if set(arrays) != set(vars(self.state)):
+            raise ArtifactMismatchError("env batch state does not match this batch")
         self.state = EnvState(**{k: np.array(v, dtype=getattr(self.state, k).dtype)
                                  for k, v in arrays.items()})

@@ -5,8 +5,11 @@ of the expert actor and privileged critic.
 The actor runs every simulator step (50 Hz); the internal model refreshes
 its memory and imagined rollout every `steps_per_tick` steps (10 Hz), and
 the actor reuses the held (h, rollout) in between. Replay records live at
-the model rate: each record spans one tick window with the window's summed
-reward and the true states at both ends.
+the model rate, one per tick window: the observation, executed action, true
+state and floor height at the window's first step, its summed reward and its
+value target. Each record field is an array with a row per record, staged
+per env by `Collector` and kept in rings by `SequenceReplay`; the state at
+a window's end is the next row's, or the episode's terminal state.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ from .nn import Adam, clip_grad_norm, load_checkpoint, save_checkpoint
 from .policy import Actor, Critic
 from .state import IDX_PX, X_DIM
 
-METRICS_SCHEMA_VERSION = 1
-# "-2": the env batch is written as one array tree, not one snapshot per env
-RESUME_KIND = "kinoplan-resume-2"
+METRICS_SCHEMA_VERSION = 2
+# "-3": replay and collector are written as fixed sets of arrays
+RESUME_KIND = "kinoplan-resume-3"
 
 
 @dataclass
@@ -79,87 +82,173 @@ def compute_gae(rewards: np.ndarray, values: np.ndarray, dones: np.ndarray,
     return adv, adv + values[:-1]
 
 
+def _check_arrays(arrays: dict, expected: dict, what: str):
+    """Raise ArtifactMismatchError unless `arrays` holds exactly the names of
+    `expected`, each with its (shape, dtype)."""
+    got = {k: (a.shape, a.dtype) for k, a in arrays.items()}
+    if got != expected:
+        diff = sorted(set(got.items()) ^ set(expected.items()), key=str)
+        raise ArtifactMismatchError(f"{what} arrays do not match this config: {diff}")
+
+
 class SequenceReplay:
-    """Episode-segmented replay of model-rate records; uniform sequence draws."""
+    """Closed episodes in a ring of `capacity` records, `rows` holding one
+    array per record field; uniform draws of record sequences.
 
-    FIELDS = ("obs", "action", "reward", "value_target", "x", "x_next",
-              "x_prev", "floor_now", "floor_next")
+    Episode e is rows start[e] .. start[e] + length[e] - 1 (mod capacity),
+    ended in `terminal_x[e]` over `terminal_floor[e]`. `start` counts rows
+    ever written, so each episode begins where the one before ends; adding
+    one evicts the oldest whole episodes until it fits. A draw derives
+    `x_prev`, x of the row before its first (at an episode's start the first
+    itself), and `x_next`/`floor_next`, x/floor_now of the row after each
+    record (the terminal state after an episode's last).
+    """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, obs_dim: int, action_dim: int):
         self.capacity = capacity
-        self.episodes: list[dict] = []
-        self.total = 0
+        self.record = np.dtype([("obs", np.float64, obs_dim),
+                                ("action", np.float64, action_dim),
+                                ("reward", np.float64), ("value_target", np.float64),
+                                ("x", np.float64, X_DIM), ("floor_now", np.float64)])
+        # one np.empty for all fields: the ring is mapped, not carved from the
+        # heap, and a page of it is touched only when a row is written
+        ring = np.empty(capacity, self.record)
+        self.rows = {f: ring[f] for f in self.record.names}
+        self.episodes = {"start": np.zeros(0, dtype=np.int64),
+                         "length": np.zeros(0, dtype=np.int64),
+                         "terminal_x": np.zeros((0, X_DIM)), "terminal_floor": np.zeros(0)}
         self.skipped_short = 0
 
-    def add_episode(self, records: list[dict], min_len: int = 2):
-        if len(records) < min_len:
+    @property
+    def total(self) -> int:
+        return int(self.episodes["length"].sum())
+
+    def _rows_in_use(self) -> np.ndarray:
+        return (self.episodes["start"][:1] + np.arange(self.total)) % self.capacity
+
+    def add_episode(self, episode: dict, min_len: int = 2):
+        """Store (n, ...) arrays of the record fields, `terminal_x` and `terminal_floor`."""
+        for f in (*self.rows, "terminal_x", "terminal_floor"):
+            if episode.get(f) is None:
+                raise DataError(f"replay episode missing field '{f}'")
+        n = len(episode["reward"])
+        if n < min_len:
             self.skipped_short += 1
             return
-        for rec in records:
-            missing = [f for f in self.FIELDS if f not in rec or rec[f] is None]
-            if missing:
-                raise DataError(f"replay record missing field '{missing[0]}'")
-        episode = {f: np.asarray([rec[f] for rec in records]) for f in self.FIELDS}
-        self.episodes.append(episode)
-        self.total += len(records)
-        while self.total > self.capacity and len(self.episodes) > 1:
-            evicted = self.episodes.pop(0)
-            self.total -= evicted["reward"].shape[0]
+        if n > self.capacity:
+            raise DataError(f"episode of {n} records exceeds replay capacity {self.capacity}")
+        eps = self.episodes
+        head = int(eps["start"][-1] + eps["length"][-1]) if eps["start"].size else 0
+        total, drop = self.total, 0
+        while total + n > self.capacity:
+            total -= int(eps["length"][drop])
+            drop += 1
+        for f, ring in self.rows.items():
+            ring[(head + np.arange(n)) % self.capacity] = episode[f]
+        new = {"start": head, "length": n, "terminal_x": episode["terminal_x"],
+               "terminal_floor": episode["terminal_floor"]}
+        self.episodes = {k: np.concatenate([v[drop:], [new[k]]]) for k, v in eps.items()}
 
     def sample_sequences(self, batch: int, seq_len: int, rng: np.random.Generator
                          ) -> dict | None:
-        eligible = [ep for ep in self.episodes if ep["reward"].shape[0] >= seq_len]
-        if not eligible:
+        """`batch` draws of `seq_len` consecutive records of one episode."""
+        start, length = self.episodes["start"], self.episodes["length"]
+        eligible = np.flatnonzero(length >= seq_len)
+        if not eligible.size:
             return None
-        weights = np.array([ep["reward"].shape[0] - seq_len + 1 for ep in eligible],
-                           dtype=np.float64)
+        weights = (length[eligible] - seq_len + 1).astype(np.float64)
         weights /= weights.sum()
-        out = {f: [] for f in self.FIELDS}
-        for _ in range(batch):
-            ep = eligible[int(rng.choice(len(eligible), p=weights))]
-            start = int(rng.integers(0, ep["reward"].shape[0] - seq_len + 1))
-            for f in self.FIELDS:
-                if f == "x_prev":
-                    out[f].append(ep["x_prev"][start])
-                else:
-                    out[f].append(ep[f][start:start + seq_len])
-        return {f: np.asarray(v) for f, v in out.items()}
+        ep = np.empty(batch, dtype=np.int64)
+        first = np.empty(batch, dtype=np.int64)
+        for b in range(batch):
+            ep[b] = eligible[int(rng.choice(len(eligible), p=weights))]
+            first[b] = rng.integers(0, int(length[ep[b]]) - seq_len + 1)
+        offset = first[:, None] + np.arange(seq_len)
+        rows = (start[ep, None] + offset) % self.capacity
+        out = {f: ring[rows] for f, ring in self.rows.items()}
+        out["x_prev"] = self.rows["x"][(rows[:, 0] - (first > 0)) % self.capacity]
+        last = offset + 1 == length[ep, None]
+        after = (rows + 1) % self.capacity
+        out["x_next"] = np.where(last[..., None], self.episodes["terminal_x"][ep, None],
+                                 self.rows["x"][after])
+        out["floor_next"] = np.where(last, self.episodes["terminal_floor"][ep, None],
+                                     self.rows["floor_now"][after])
+        return out
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """The rows in use, oldest first, and the episode arrays."""
+        rows = self._rows_in_use()
+        return {**{f: ring[rows] for f, ring in self.rows.items()}, **self.episodes,
+                "skipped_short": np.array([self.skipped_short])}
+
+    def load_state(self, arrays: dict[str, np.ndarray]):
+        """Inverse of state_arrays(); names, shapes and dtypes must match."""
+        length = arrays.get("length", self.episodes["length"])
+        total, n = int(length.sum()), length.size
+        if total > self.capacity:
+            raise ArtifactMismatchError(f"replay state of {total} records exceeds its "
+                                        f"capacity of {self.capacity}")
+        _check_arrays(arrays, {
+            **{f: ((total, *ring.shape[1:]), ring.dtype) for f, ring in self.rows.items()},
+            **{k: ((n, *v.shape[1:]), v.dtype) for k, v in self.episodes.items()},
+            "skipped_short": ((1,), np.dtype(np.int64))}, "replay")
+        self.episodes = {k: arrays[k] for k in self.episodes}
+        rows = self._rows_in_use()
+        for f, ring in self.rows.items():
+            ring[rows] = arrays[f]
+        self.skipped_short = int(arrays["skipped_short"][0])
 
 
 class Collector:
-    """Per-environment model-state bookkeeping for the two-rate loop."""
+    """Per-environment model state for the two-rate loop, and each env's
+    episode so far: env i's records are rows 0 .. length[i] - 1 of the
+    (B, max_records, ...) arrays in `episode`, one per record field.
+    The last row is the open window, its reward summed as the window runs."""
 
-    def __init__(self, num_envs: int, d_h: int, d_z: int, horizon: int):
-        self.num_envs = num_envs
+    ARRAYS = ("x", "h", "z", "h_cur", "rollout_cur", "length")
+
+    def __init__(self, num_envs: int, d_h: int, d_z: int, horizon: int,
+                 replay: SequenceReplay, max_records: int):
         self.x = np.zeros((num_envs, X_DIM))
         self.h = np.zeros((num_envs, d_h))
         self.z = np.zeros((num_envs, d_z))
         self.h_cur = np.zeros((num_envs, d_h))
         self.rollout_cur = np.zeros((num_envs, horizon * X_DIM))
-        self.phase = np.zeros(num_envs, dtype=np.int64)
-        self.window_reward = np.zeros(num_envs)
-        self.open_record: list[dict | None] = [None] * num_envs
-        self.episode_records: list[list[dict]] = [[] for _ in range(num_envs)]
+        self.length = np.zeros(num_envs, dtype=np.int64)
+        staged = np.zeros((num_envs, max_records), replay.record)
+        self.episode = {f: staged[f] for f in replay.record.names}
 
-    def reset_env(self, i: int, x0: np.ndarray):
-        self.x[i] = x0
-        self.h[i] = 0.0
-        self.z[i] = 0.0
-        self.phase[i] = 0
-        self.window_reward[i] = 0.0
-        self.open_record[i] = None
-        self.episode_records[i] = []
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """Copies of ARRAYS and of the episode rows in use."""
+        used = int(self.length.max())
+        return {**{k: getattr(self, k).copy() for k in self.ARRAYS},
+                **{f"episode.{f}": a[:, :used].copy() for f, a in self.episode.items()}}
+
+    def load_state(self, arrays: dict[str, np.ndarray]):
+        """Inverse of state_arrays(); names, shapes and dtypes must match."""
+        # more rows than an episode holds cannot match the episode arrays' shape
+        used = min(int(np.max(arrays.get("length", 0))), self.episode["reward"].shape[1])
+        _check_arrays(arrays, {
+            **{k: (getattr(self, k).shape, getattr(self, k).dtype) for k in self.ARRAYS},
+            **{f"episode.{f}": ((a.shape[0], used, *a.shape[2:]), a.dtype)
+               for f, a in self.episode.items()}}, "collector")
+        for k in self.ARRAYS:
+            setattr(self, k, arrays[k])
+        for f, a in self.episode.items():
+            a[:, :used] = arrays[f"episode.{f}"]
 
 
 def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
                      envs: EnvBatch, obs: np.ndarray, priv: np.ndarray,
                      steps: int, steps_per_tick: int, rng: np.random.Generator,
                      collector: Collector, replay: SequenceReplay,
-                     gamma: float, lam: float, generation: int = 0,
-                     deterministic: bool = False):
+                     gamma: float, lam: float, generation: int = 0):
     """Run B environments for `steps` fast steps, refreshing (h, rollout)
-    every `steps_per_tick` steps per env, storing PPO rows and model-rate
-    replay records.
+    every `steps_per_tick` steps of each env's episode, storing PPO rows and
+    model-rate replay records. The record a tick opens in env i at step t
+    holds obs[t, i], the executed clip(actions[t, i]) and, once GAE has run,
+    returns[t, i]; an episode goes to replay after the GAE of the call that
+    ends it.
 
     Returns (batch: RolloutBatch, obs, priv, episode_infos, tick_count).
     """
@@ -174,25 +263,27 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
         actions=np.empty((steps, B, actor.action_dim)), log_probs=np.empty((steps, B)),
         rewards=np.empty((steps, B)), dones=np.empty((steps, B)),
         values=values[:-1], generation=generation)
+    staged = collector.episode
+    # step t of each staged record opened in this call, -1 for the others
+    tick_step = np.full(staged["reward"].shape, -1)
+    closed = []               # (env, tick_step rows, episode) of episodes ended here
     episode_infos = []
-    closed_episodes: list[list[dict]] = []
     tick_count = 0
 
     for t in range(steps):
-        tick_ids = np.where(collector.phase % steps_per_tick == 0)[0]
+        tick_ids = np.flatnonzero(envs.state.step_count % steps_per_tick == 0)
+        rows = collector.length[tick_ids]
         if tick_ids.size:
             tick_count += tick_ids.size
             x_tick = envs.state.x[tick_ids]
-            floors = envs.floor_height(x_tick[:, IDX_PX], tick_ids)
-            # close the previous window: the current true state ends it
-            for k, i in enumerate(tick_ids):
-                rec = collector.open_record[i]
-                if rec is not None:
-                    rec["x_next"] = x_tick[k].copy()
-                    rec["floor_next"] = float(floors[k])
-                    rec["reward"] = collector.window_reward[i]
-                    collector.episode_records[i].append(rec)
-                collector.window_reward[i] = 0.0
+            # the open record's window ends here and a new one opens
+            staged["obs"][tick_ids, rows] = obs[tick_ids]
+            staged["x"][tick_ids, rows] = x_tick
+            staged["floor_now"][tick_ids, rows] = envs.floor_height(x_tick[:, IDX_PX],
+                                                                     tick_ids)
+            staged["reward"][tick_ids, rows] = 0.0
+            tick_step[tick_ids, rows] = t
+            collector.length[tick_ids] += 1
             # model tick: posterior update + imagination for the sub-batch
             x1, h1, z1, rollout_flat = model.tick(
                 obs[tick_ids], collector.x[tick_ids], collector.h[tick_ids],
@@ -203,34 +294,16 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
             collector.z[tick_ids] = z1
             collector.h_cur[tick_ids] = h1
             collector.rollout_cur[tick_ids] = rollout_flat
-            for k, i in enumerate(tick_ids):
-                x_now = x_tick[k].copy()
-                collector.open_record[i] = {
-                    "obs": obs[i].copy(),
-                    "x": x_now,
-                    "x_prev": (collector.episode_records[i][-1]["x"]
-                               if collector.episode_records[i] else x_now),
-                    "floor_now": float(floors[k]),
-                    "env": int(i),
-                    "action": None, "reward": None, "value_target": None,
-                    "x_next": None, "floor_next": None,
-                }
 
         with no_grad():
             dist = actor(obs, collector.h_cur, collector.rollout_cur)
-            if deterministic:
-                actions = dist.mean.data
-            else:
-                actions = dist.sample(rng=rng).data
+            actions = dist.sample(rng=rng).data
             log_probs = dist.log_prob(actions).data
             values[t] = critic(priv, collector.h_cur, collector.rollout_cur).data
         # PPO rows keep the raw sample that log_probs scores; the env and the
         # replay records get the executed action, clipped to the box
         executed = np.clip(actions, -1.0, 1.0)
-
-        for i in tick_ids:
-            collector.open_record[i]["action"] = executed[i].copy()
-            collector.open_record[i]["t_index"] = t
+        staged["action"][tick_ids, rows] = executed[tick_ids]
 
         batch.obs[t] = obs
         batch.priv[t] = priv
@@ -241,24 +314,23 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
 
         phys = envs.cfg.to_physical(executed)
         obs, priv, rewards, dones, infos = envs.step(phys)
-        collector.window_reward += rewards
+        staged["reward"][np.arange(B), collector.length - 1] += rewards
         batch.rewards[t] = rewards
         batch.dones[t] = dones
 
-        for i in range(B):
-            if dones[i]:
-                info = infos[i]
-                episode_infos.append(info)
-                rec = collector.open_record[i]
-                if rec is not None and rec.get("action") is not None:
-                    rec["x_next"] = np.asarray(info["terminal_x"], dtype=np.float64)
-                    rec["floor_next"] = float(info["terminal_floor"])
-                    rec["reward"] = collector.window_reward[i]
-                    collector.episode_records[i].append(rec)
-                closed_episodes.append(collector.episode_records[i])
-                collector.reset_env(i, envs.state.x[i].copy())
-            else:
-                collector.phase[i] += 1
+        for i in np.flatnonzero(dones):
+            episode_infos.append(infos[i])
+            n = collector.length[i]
+            closed.append((i, tick_step[i, :n].copy(), {
+                **{f: a[i, :n].copy() for f, a in staged.items()},
+                "terminal_x": infos[i]["terminal_x"],
+                "terminal_floor": infos[i]["terminal_floor"]}))
+        # a done env's next episode starts from its reset state, memory cleared
+        collector.x[dones] = envs.state.x[dones]
+        collector.h[dones] = 0.0
+        collector.z[dones] = 0.0
+        collector.length[dones] = 0
+        tick_step[dones] = -1
 
     # bootstrap value of the state after the last step, then GAE targets
     with no_grad():
@@ -266,20 +338,13 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
     batch.advantages, batch.returns = compute_gae(batch.rewards, values,
                                                   batch.dones, gamma, lam)
 
-    # value targets for replay records created this call; records carried over
-    # from earlier calls were patched when their call's returns were available
-    for i in range(B):
-        recs = list(collector.episode_records[i])
-        if collector.open_record[i] is not None:
-            recs.append(collector.open_record[i])
-        for rec in recs:
-            if rec.get("value_target") is None and "t_index" in rec:
-                rec["value_target"] = float(batch.returns[rec["t_index"], i])
-    for episode in closed_episodes:
-        for rec in episode:
-            if rec.get("value_target") is None and "t_index" in rec:
-                rec["value_target"] = float(batch.returns[rec["t_index"], rec["env"]])
-        replay.add_episode([r for r in episode if r.get("reward") is not None])
+    opened = tick_step >= 0
+    staged["value_target"][opened] = batch.returns[tick_step[opened],
+                                                   np.nonzero(opened)[0]]
+    for i, steps_i, episode in closed:
+        opened = steps_i >= 0
+        episode["value_target"][opened] = batch.returns[steps_i[opened], i]
+        replay.add_episode(episode)
 
     return batch, obs, priv, episode_infos, tick_count
 
@@ -347,33 +412,9 @@ def ppo_update(batch: RolloutBatch, actor: Actor, critic: Critic, optimizer: Ada
     return stats
 
 
-# Trainer attributes a resume file restores as they are
-_RESUMED_ATTRS = ("iteration", "env_steps_total", "obs", "priv", "level",
-                  "success_window", "recent_returns", "lr_halved")
-
-
-def _split_arrays(tree, arrays: dict, path: str):
-    """Copy of a dict/list tree with every ndarray moved into `arrays` under
-    its path and replaced by a reference to it."""
-    if isinstance(tree, np.ndarray):
-        arrays[path] = tree
-        return {"__array__": path}
-    if isinstance(tree, dict):
-        return {k: _split_arrays(v, arrays, f"{path}/{k}") for k, v in tree.items()}
-    if isinstance(tree, list):
-        return [_split_arrays(v, arrays, f"{path}/{i}") for i, v in enumerate(tree)]
-    return tree
-
-
-def _join_arrays(tree, arrays: dict):
-    """Inverse of _split_arrays."""
-    if isinstance(tree, dict):
-        if set(tree) == {"__array__"}:
-            return arrays[tree["__array__"]]
-        return {k: _join_arrays(v, arrays) for k, v in tree.items()}
-    if isinstance(tree, list):
-        return [_join_arrays(v, arrays) for v in tree]
-    return tree
+# Trainer attributes a resume file restores as they are, from its JSON header
+_RESUMED_ATTRS = ("iteration", "env_steps_total", "level", "success_window",
+                  "recent_returns", "lr_halved")
 
 
 class Trainer:
@@ -408,12 +449,12 @@ class Trainer:
             {f"critic.{k}": v for k, v in self.critic.named_parameters().items()})
         self.opt_ac = Adam(ac_params, lr=tc.learning_rate)
 
-        self.replay = SequenceReplay(tc.replay_capacity)
+        self.replay = SequenceReplay(tc.replay_capacity, config.env.obs_dim,
+                                     config.model.action_dim)
         self.collector = Collector(tc.num_envs, config.model.d_h, config.model.d_z,
-                                   horizon)
+                                   horizon, self.replay, config.max_episode_records)
         self.obs, self.priv = self.envs.reset_all()
-        for i in range(tc.num_envs):
-            self.collector.reset_env(i, self.envs.state.x[i].copy())
+        self.collector.x[:] = self.envs.state.x
 
         self.iteration = 0
         self.env_steps_total = 0
@@ -427,22 +468,26 @@ class Trainer:
     # -- persistence -----------------------------------------------------------
 
     def _owners(self):
+        """Whatever has state_arrays()/load_state(), by name prefix: the
+        parameters, the Adam states, then the rest a resume file holds."""
         return (("model", self.model), ("actor", self.actor), ("critic", self.critic),
-                ("opt_model", self.opt_model), ("opt_ac", self.opt_ac))
+                ("opt_model", self.opt_model), ("opt_ac", self.opt_ac),
+                ("replay", self.replay), ("collector", self.collector),
+                ("envs", self.envs))
 
     def _rngs(self):
-        return self.rng_collect, self.rng_model, self.rng_ppo
+        return self.rng_collect, self.rng_model, self.rng_ppo, *self.envs.rngs
 
-    def checkpoint_arrays(self, optimizers: bool = False) -> dict:
-        """Copies of the parameters (plus the Adam state with `optimizers`),
-        each name prefixed by its owner."""
-        owners = self._owners() if optimizers else self._owners()[:3]
-        return {f"{prefix}.{k}": v for prefix, owner in owners
+    def checkpoint_arrays(self, owners: int = 3) -> dict:
+        """Copies of the state arrays of the first `owners` of _owners() (3:
+        the parameters, 5: and the Adam states), each name prefixed by its
+        owner."""
+        return {f"{prefix}.{k}": v for prefix, owner in self._owners()[:owners]
                 for k, v in owner.state_arrays().items()}
 
-    def load_arrays(self, arrays: dict):
-        """Inverse of checkpoint_arrays(optimizers=True)."""
-        for prefix, owner in self._owners():
+    def load_arrays(self, arrays: dict, owners: int = 5):
+        """Inverse of checkpoint_arrays(owners)."""
+        for prefix, owner in self._owners()[:owners]:
             owner.load_state({k[len(prefix) + 1:]: v for k, v in arrays.items()
                               if k.startswith(prefix + ".")})
 
@@ -456,15 +501,13 @@ class Trainer:
         """Everything the next iteration reads, in the checkpoint format:
         arrays go to the buffers, the rest (RNG states included) to the
         JSON header."""
-        arrays = self.checkpoint_arrays(optimizers=True)
+        arrays = self.checkpoint_arrays(len(self._owners()))
+        arrays.update(obs=self.obs, priv=self.priv)
         state = {k: getattr(self, k) for k in _RESUMED_ATTRS}
         state.update(lr=[self.opt_model.lr, self.opt_ac.lr],
-                     rng=[g.bit_generator.state for g in self._rngs()],
-                     replay=vars(self.replay), collector=vars(self.collector),
-                     envs=self.envs.snapshot())
-        meta = {"kind": RESUME_KIND, "config": self.cfg.to_dict(),
-                "state": _split_arrays(state, arrays, "state")}
-        save_checkpoint(path, arrays, meta)
+                     rng=[g.bit_generator.state for g in self._rngs()])
+        save_checkpoint(path, arrays,
+                        {"kind": RESUME_KIND, "config": self.cfg.to_dict(), "state": state})
 
     def load_resume_state(self, path: str):
         arrays, meta = load_checkpoint(path)
@@ -473,14 +516,15 @@ class Trainer:
         if meta.get("config") != self.cfg.to_dict():
             raise ArtifactMismatchError(
                 f"resume state was written for another config: {path}")
-        self.load_arrays(arrays)
-        state = _join_arrays(meta["state"], arrays)
-        self.opt_model.lr, self.opt_ac.lr = state.pop("lr")
-        for g, rng_state in zip(self._rngs(), state.pop("rng")):
+        state = meta["state"]
+        if len(state["rng"]) != len(self._rngs()):
+            raise ArtifactMismatchError(f"resume state holds {len(state['rng'])} "
+                                        f"generators, expected {len(self._rngs())}: {path}")
+        self.load_arrays(arrays, len(self._owners()))
+        self.opt_model.lr, self.opt_ac.lr = state["lr"]
+        for g, rng_state in zip(self._rngs(), state["rng"]):
             g.bit_generator.state = rng_state
-        vars(self.replay).update(state.pop("replay"))
-        vars(self.collector).update(state.pop("collector"))
-        self.envs.restore(state.pop("envs"))
+        self.obs, self.priv = arrays["obs"], arrays["priv"]
         for k in _RESUMED_ATTRS:
             setattr(self, k, state[k])
         self.envs.level = self.level
@@ -547,6 +591,9 @@ class Trainer:
             "model_updates": n_model,
             "model_loss": {k: round(v, 6) for k, v in model_stats.items()},
             "ppo": {k: round(float(v), 6) for k, v in ppo_stats.items()},
+            "replay": {"episodes": len(self.replay.episodes["length"]),
+                       "records": self.replay.total,
+                       "skipped_short": self.replay.skipped_short},
         }
         return row
 
@@ -557,7 +604,7 @@ class Trainer:
         metrics = open(self._metrics_path, "a")
         try:
             while self.iteration < tc.iterations:
-                snapshot = self.checkpoint_arrays(optimizers=True)
+                snapshot = self.checkpoint_arrays(5)
                 try:
                     row = self.run_iteration()
                 except TrainingError as e:

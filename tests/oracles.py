@@ -100,3 +100,59 @@ def lqr_rollout_cost(A, B, Q, R, x0, policy, steps: int, gamma: float,
         x = A @ x + B @ u
         gpow *= gamma
     return cost + gpow * float(x @ terminal_P @ x)
+
+
+class ListReplay:
+    """Reference sequence replay over a list of per-episode dicts, each record
+    storing its neighbouring states (`x_prev`, `x_next`, `floor_next`) as
+    its own fields. Eviction appends first, then drops the oldest episodes
+    while the total is over capacity."""
+
+    FIELDS = ("obs", "action", "reward", "value_target", "x", "x_next",
+              "x_prev", "floor_now", "floor_next")
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.episodes: list[dict] = []
+        self.total = 0
+
+    def add_episode(self, records: list[dict], min_len: int = 2):
+        if len(records) < min_len:
+            return
+        episode = {f: np.asarray([rec[f] for rec in records]) for f in self.FIELDS}
+        self.episodes.append(episode)
+        self.total += len(records)
+        while self.total > self.capacity and len(self.episodes) > 1:
+            evicted = self.episodes.pop(0)
+            self.total -= evicted["reward"].shape[0]
+
+    def sample_sequences(self, batch: int, seq_len: int, rng: np.random.Generator):
+        eligible = [ep for ep in self.episodes if ep["reward"].shape[0] >= seq_len]
+        if not eligible:
+            return None
+        weights = np.array([ep["reward"].shape[0] - seq_len + 1 for ep in eligible],
+                           dtype=np.float64)
+        weights /= weights.sum()
+        out = {f: [] for f in self.FIELDS}
+        for _ in range(batch):
+            ep = eligible[int(rng.choice(len(eligible), p=weights))]
+            start = int(rng.integers(0, ep["reward"].shape[0] - seq_len + 1))
+            for f in self.FIELDS:
+                if f == "x_prev":
+                    out[f].append(ep["x_prev"][start])
+                else:
+                    out[f].append(ep[f][start:start + seq_len])
+        return {f: np.asarray(v) for f, v in out.items()}
+
+
+def episode_records(episode: dict) -> list[dict]:
+    """The per-record dicts of an episode given as arrays (a row per record,
+    plus `terminal_x`/`terminal_floor`), neighbouring states filled in."""
+    n = len(episode["reward"])
+    x_after = np.concatenate([episode["x"][1:], [episode["terminal_x"]]])
+    floor_after = np.append(episode["floor_now"][1:], episode["terminal_floor"])
+    return [{"obs": episode["obs"][k], "action": episode["action"][k],
+             "reward": episode["reward"][k], "value_target": episode["value_target"][k],
+             "x": episode["x"][k], "x_prev": episode["x"][max(k - 1, 0)],
+             "x_next": x_after[k], "floor_now": episode["floor_now"][k],
+             "floor_next": floor_after[k]} for k in range(n)]

@@ -14,11 +14,12 @@ from kinoplan import training
 from kinoplan.autodiff import Tensor
 from kinoplan.config import smoke_config
 from kinoplan.env import EnvBatch, EnvConfig, PlanarEnv, env_seeds
-from kinoplan.errors import ArtifactMismatchError, DataError, TrainingError
-from kinoplan.nn import Adam, param_checksum
+from kinoplan.errors import ArtifactMismatchError, ConfigError, DataError, TrainingError
+from kinoplan.nn import Adam, load_checkpoint, param_checksum, save_checkpoint
 from kinoplan.policy import Actor, Critic
-from kinoplan.training import (Collector, SequenceReplay, Trainer, compute_gae,
-                               collect_rollouts, ppo_update)
+from kinoplan.training import (SequenceReplay, Trainer, compute_gae, collect_rollouts,
+                               ppo_update)
+from oracles import ListReplay, episode_records
 
 
 # -- GAE ------------------------------------------------------------------------
@@ -163,35 +164,65 @@ def test_collect_rewards_match_env_replay():
         assert r[0] == replay_env.step(action)[2]
 
 
+def _random_episode(rng, n, obs_dim=6, action_dim=2):
+    """An episode as SequenceReplay.add_episode takes it: a row per record."""
+    return {"obs": rng.normal(size=(n, obs_dim)), "action": rng.normal(size=(n, action_dim)),
+            "reward": rng.normal(size=n), "value_target": rng.normal(size=n),
+            "x": rng.normal(size=(n, 7)), "floor_now": rng.normal(size=n),
+            "terminal_x": rng.normal(size=7), "terminal_floor": float(rng.normal())}
+
+
 def test_replay_sequences_and_missing_fields(rng):
-    replay = SequenceReplay(capacity=100)
-    recs = []
-    for t in range(10):
-        recs.append({
-            "obs": rng.normal(size=6), "action": rng.normal(size=2),
-            "reward": float(t), "value_target": 0.5, "x": rng.normal(size=7),
-            "x_next": rng.normal(size=7), "x_prev": rng.normal(size=7),
-            "floor_now": 0.0, "floor_next": 0.0,
-        })
-    replay.add_episode(recs)
+    replay = SequenceReplay(capacity=100, obs_dim=6, action_dim=2)
+    episode = _random_episode(rng, 10)
+    replay.add_episode(episode)
     batch = replay.sample_sequences(3, 4, rng)
     assert batch["obs"].shape == (3, 4, 6)
     assert batch["x_prev"].shape == (3, 7)
     assert replay.sample_sequences(2, 50, rng) is None  # too short
 
-    bad = dict(recs[0])
-    del bad["x_next"]
-    with pytest.raises(DataError, match="x_next"):
-        replay.add_episode([bad] * 5)
+    for field in ("x", "terminal_x"):
+        bad = dict(episode)
+        del bad[field]
+        with pytest.raises(DataError, match=f"'{field}'"):
+            replay.add_episode(bad)
 
 
 def test_replay_capacity_eviction(rng):
-    replay = SequenceReplay(capacity=12)
-    def make(n):
-        return [{f: 0.0 for f in SequenceReplay.FIELDS} for _ in range(n)]
+    replay = SequenceReplay(capacity=12, obs_dim=6, action_dim=2)
     for _ in range(5):
-        replay.add_episode(make(5))
-    assert replay.total <= 12 + 5
+        replay.add_episode(_random_episode(rng, 5))
+    assert replay.total <= 12
+    assert len(replay.episodes["length"]) == 2
+
+
+def test_replay_draws_match_list_reference():
+    """The ring replay and the list-of-dicts reference, filled with the same
+    episodes (short ones skipped, the ring wrapping and evicting many times),
+    draw bit-identical sequences, the derived x_prev/x_next/floor_next
+    included, and leave their generators in the same state."""
+    fill = np.random.default_rng(7)
+    replay = SequenceReplay(capacity=40, obs_dim=6, action_dim=2)
+    reference = ListReplay(capacity=40)
+    rng_new, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
+    drawn = 0
+    for _ in range(60):
+        episode = _random_episode(fill, int(fill.integers(1, 16)))
+        replay.add_episode(episode)
+        reference.add_episode(episode_records(episode))
+        assert replay.total == reference.total
+        got = replay.sample_sequences(5, 4, rng_new)
+        want = reference.sample_sequences(5, 4, rng_ref)
+        assert (got is None) == (want is None)
+        if want is not None:
+            drawn += 1
+            assert set(got) == set(want)
+            for f in want:
+                assert got[f].dtype == want[f].dtype
+                assert np.array_equal(got[f], want[f]), f
+    assert drawn > 50
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    assert int(replay.episodes["start"][-1]) > 3 * 40        # the ring wrapped
 
 
 def test_stop_gradient_contract_over_full_ppo_phase(tmp_path):
@@ -235,6 +266,28 @@ def test_trainer_metrics_schema_and_checkpoints(tmp_path):
         assert set(row["model_loss"]) >= {"reward_nll", "value_nll", "latent_kl",
                                           "action_cloning", "com",
                                           "reconstruction", "total"}
+
+
+def test_metrics_rows_report_replay_size(tmp_path):
+    cfg = smoke_config(3, train={"num_envs": 2, "steps_per_iteration": 60})
+    tr = Trainer(cfg, str(tmp_path / "run"))
+    rows = [tr.run_iteration() for _ in range(3)]
+    for row in rows:
+        assert row["schema_version"] == training.METRICS_SCHEMA_VERSION == 2
+        assert set(row["replay"]) == {"episodes", "records", "skipped_short"}
+    assert rows[-1]["replay"] == {"episodes": len(tr.replay.episodes["length"]),
+                                  "records": tr.replay.total,
+                                  "skipped_short": tr.replay.skipped_short}
+    assert sum(rows[-1]["replay"].values()) > 0
+    assert json.loads(json.dumps(rows[-1])) == rows[-1]
+
+
+def test_config_rejects_replay_smaller_than_one_episode():
+    # max_steps 300 at 5 steps per tick: 60 records in the longest episode
+    assert smoke_config(0, train={"replay_capacity": 60}).max_episode_records == 60
+    with pytest.raises(ConfigError) as err:
+        smoke_config(0, train={"replay_capacity": 59})
+    assert err.value.field == "train.replay_capacity"
 
 
 def test_resume_reproduces_next_iteration_bit_exactly(tmp_path):
@@ -300,6 +353,30 @@ def test_resume_rejects_agent_checkpoint(tmp_path):
     tr.save_checkpoint(str(path))
     with pytest.raises(ArtifactMismatchError, match="not a resume state"):
         tr.load_resume_state(str(path))
+
+
+def test_resume_rejects_previous_resume_kind(tmp_path):
+    tr = _resume_trainer(tmp_path, "a")
+    path = tmp_path / "state.kpt"
+    tr.save_resume_state(str(path))
+    arrays, meta = load_checkpoint(str(path))
+    save_checkpoint(str(path), arrays, {**meta, "kind": "kinoplan-resume-2"})
+    with pytest.raises(ArtifactMismatchError, match="not a resume state"):
+        _resume_trainer(tmp_path, "b").load_resume_state(str(path))
+
+
+@pytest.mark.parametrize("name", ["replay.obs", "replay.terminal_x",
+                                  "collector.episode.x"])
+def test_resume_rejects_array_of_wrong_shape(tmp_path, name):
+    tr = _resume_trainer(tmp_path, "a")
+    tr.run_iteration()
+    path = tmp_path / "state.kpt"
+    tr.save_resume_state(str(path))
+    arrays, meta = load_checkpoint(str(path))
+    arrays[name] = arrays[name][..., :-1]
+    save_checkpoint(str(path), arrays, meta)
+    with pytest.raises(ArtifactMismatchError, match=name.split(".", 1)[1]):
+        _resume_trainer(tmp_path, "b").load_resume_state(str(path))
 
 
 def test_resume_rejects_other_config(tmp_path):
@@ -372,9 +449,8 @@ def test_replay_stores_executed_actions_in_box(tmp_path, seed):
         tr.actor, tr.critic, tr.model, tr.envs, tr.obs, tr.priv, 40,
         cfg.steps_per_tick, tr.rng_collect, tr.collector, tr.replay, 0.99, 0.95)
     assert np.any(np.abs(batch.actions) > 1.0)   # some samples left the box
-    assert tr.replay.episodes, "no episode closed within 40 steps"
-    for episode in tr.replay.episodes:
-        assert np.all(np.abs(episode["action"]) <= 1.0)
+    assert tr.replay.total, "no episode closed within 40 steps"
+    assert np.all(np.abs(tr.replay.state_arrays()["action"]) <= 1.0)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
