@@ -35,15 +35,14 @@ def no_grad():
 class Tensor:
     """An n-d array with an optional gradient accumulator and tape node."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=DTYPE)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward = None
-        self.name = name
 
     # -- basic introspection -------------------------------------------------
 
@@ -54,17 +53,6 @@ class Tensor:
     @property
     def ndim(self):
         return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
-    def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}{tag}, requires_grad={self.requires_grad})"
-
-    def zero_grad(self):
-        self.grad = None
 
     # -- autodiff ------------------------------------------------------------
 
@@ -135,31 +123,8 @@ class Tensor:
     def __rsub__(self, other):
         return sub(other, self)
 
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, powi(other, -1.0))
-        return mul(self, 1.0 / np.asarray(other, dtype=DTYPE))
-
-    def __rtruediv__(self, other):
-        return mul(powi(self, -1.0), other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, exponent):
-        return powi(self, exponent)
-
     def __getitem__(self, idx):
         return take(self, idx)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
 
 
 def as_tensor(x) -> Tensor:
@@ -231,17 +196,12 @@ def mul(a, b) -> Tensor:
         _unbroadcast(g * a.data, b.data.shape) if need_b else None))
 
 
-def powi(a, exponent) -> Tensor:
+def square(a) -> Tensor:
     a = as_tensor(a)
-    e = float(exponent)
-    data = a.data ** e
+    data = a.data ** 2.0
     if not _tracked(a):
         return Tensor(data)
-    return _node(data, (a,), lambda g: (g * e * a.data ** (e - 1.0),))
-
-
-def square(a) -> Tensor:
-    return powi(a, 2.0)
+    return _node(data, (a,), lambda g: (g * 2.0 * a.data,))
 
 
 def matmul(a, b) -> Tensor:

@@ -46,7 +46,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ArtifactMismatchError, ConfigError
+from .errors import ConfigError
+from .nn import check_arrays, stored_dtype
 from .state import (BodyParams, IDX_OFFSET, IDX_OMEGA, IDX_PITCH, IDX_PX, IDX_PZ,
                     IDX_VX, X_DIM, advance_state, select)
 from .terrain import (MAX_LEVEL, SKY, X_MAX, X_MIN, TerrainProfile, build_terrain,
@@ -534,12 +535,18 @@ class EnvBatch:
         return interp_rows(s, self.state.floor_x[rows], self.state.floor_z[rows])
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        """Copies of the batch's EnvState arrays (the env generators are `rngs`)."""
-        return {k: v.copy() for k, v in vars(self.state).items()}
+        """Copies of the batch's EnvState arrays in the dtypes a checkpoint
+        stores (the env generators are `rngs`)."""
+        return {k: v.astype(stored_dtype(v.dtype)) for k, v in vars(self.state).items()}
 
     def load_state(self, arrays: dict[str, np.ndarray]):
-        """Inverse of state_arrays(), for a reset batch of the same config and size."""
-        if set(arrays) != set(vars(self.state)):
-            raise ArtifactMismatchError("env batch state does not match this batch")
-        self.state = EnvState(**{k: np.array(v, dtype=getattr(self.state, k).dtype)
-                                 for k, v in arrays.items()})
+        """Inverse of state_arrays(), for a reset batch of the same config and
+        size; names, shapes and dtypes must match. The padded terrain widths
+        are the saved batch's, a polyline's z taking the width of its x."""
+        width = {k: np.shape(arrays.get(k, getattr(self.state, k)))[1:2] for k in _PADDING}
+        width.update(floor_z=width["floor_x"], ceiling_z=width["ceiling_x"])
+        check_arrays(arrays, {
+            k: ((v.shape[0], *width[k], *v.shape[2:]) if k in _PADDING else v.shape,
+                stored_dtype(v.dtype)) for k, v in vars(self.state).items()}, "env batch")
+        self.state = EnvState(**{k: arrays[k].astype(v.dtype)
+                                 for k, v in vars(self.state).items()})

@@ -234,9 +234,6 @@ class InternalModel(Module):
     def predict_value(self, x, h, z) -> DiagonalGaussian:
         return self.value_head(self._y_input(x, h, z))
 
-    def decode(self, x, h, z) -> DiagonalGaussian:
-        return self.decoder(self._y_input(x, h, z))
-
     def internal_policy(self, x, h, z) -> DiagonalGaussian:
         return self.policy_head(self._y_input(x, h, z))
 
@@ -303,8 +300,7 @@ class InternalModel(Module):
 
     # -- training loss ----------------------------------------------------------------
 
-    def model_loss(self, batch: dict, rng: np.random.Generator,
-                   beta: float | None = None):
+    def model_loss(self, batch: dict, rng: np.random.Generator):
         """Combined supervised loss over length-L sequences (sum over time,
         mean over the batch). Returns (scalar Tensor, per-term float dict)."""
         for name in _BATCH_FIELDS:
@@ -320,7 +316,6 @@ class InternalModel(Module):
         floor_now = np.asarray(batch["floor_now"], dtype=np.float64)
         floor_next = np.asarray(batch["floor_next"], dtype=np.float64)
         bsz, L = reward.shape
-        beta = self.cfg.beta_kl if beta is None else beta
 
         h = Tensor(np.zeros((bsz, self.cfg.d_h)))
         totals = {k: None for k in LOSS_TERMS}
@@ -370,7 +365,7 @@ class InternalModel(Module):
             if not np.isfinite(value):
                 raise TrainingError(f"non-finite model loss term '{key}'")
             breakdown[key] = value
-            weighted = term * beta if key == "latent_kl" else term
+            weighted = term * self.cfg.beta_kl if key == "latent_kl" else term
             loss = weighted if loss is None else loss + weighted
         breakdown["total"] = float(loss.data)
         return loss, breakdown

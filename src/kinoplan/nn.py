@@ -25,7 +25,7 @@ CHECKPOINT_FORMAT_VERSION = 1
 
 class Module:
     """Parameter container. Attributes that are Tensors with requires_grad,
-    Modules, or lists of those are collected in sorted-name order."""
+    Modules, or lists of Modules are collected in sorted-name order."""
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -41,31 +41,18 @@ class Module:
                 for i, item in enumerate(val):
                     if isinstance(item, Module):
                         out.update(item.named_parameters(f"{key}.{i}."))
-                    elif isinstance(item, Tensor) and item.requires_grad:
-                        out[f"{key}.{i}"] = item
         return out
-
-    def parameters(self) -> list[Tensor]:
-        return list(self.named_parameters().values())
-
-    def zero_grad(self):
-        for p in self.parameters():
-            p.grad = None
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {k: v.data.copy() for k, v in self.named_parameters().items()}
 
     def load_state(self, arrays: dict[str, np.ndarray]):
+        """Inverse of state_arrays(); names, shapes and dtypes must match."""
         params = self.named_parameters()
-        missing = set(params) - set(arrays)
-        if missing:
-            raise ArtifactMismatchError(f"checkpoint missing parameters: {sorted(missing)}")
+        check_arrays(arrays, {k: (p.data.shape, p.data.dtype) for k, p in params.items()},
+                     "parameter")
         for name, p in params.items():
-            src = np.asarray(arrays[name], dtype=np.float64)
-            if src.shape != p.data.shape:
-                raise ArtifactMismatchError(
-                    f"parameter '{name}' shape {src.shape} != expected {p.data.shape}")
-            p.data = src.copy()
+            p.data = arrays[name].copy()
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
@@ -91,24 +78,23 @@ class Dense(Module):
         scale = 1.0 / math.sqrt(in_size)
         self.elu = activation == "elu"
         self.weight = Tensor(rng.normal(0.0, scale, size=(in_size, out_size)),
-                             requires_grad=True, name="weight")
-        self.bias = Tensor(np.zeros(out_size), requires_grad=True, name="bias")
+                             requires_grad=True)
+        self.bias = Tensor(np.zeros(out_size), requires_grad=True)
 
     def forward(self, x) -> Tensor:
         return ad.dense(x, self.weight, self.bias, elu=self.elu)
 
 
 class MLP(Module):
-    """Stack of Dense layers; hidden activations fixed, output configurable."""
+    """Stack of Dense layers, ELU between them; the output is linear, or ELU with `out_elu`."""
 
-    def __init__(self, sizes: list[int], rng: np.random.Generator,
-                 hidden_activation: str = "elu", out_activation: str = "linear"):
+    def __init__(self, sizes: list[int], rng: np.random.Generator, out_elu: bool = False):
         if len(sizes) < 2:
             raise ValueError("MLP needs at least input and output sizes")
         self.layers = []
         for i in range(len(sizes) - 1):
-            act = hidden_activation if i < len(sizes) - 2 else out_activation
-            self.layers.append(Dense(sizes[i], sizes[i + 1], act, rng))
+            elu = i < len(sizes) - 2 or out_elu
+            self.layers.append(Dense(sizes[i], sizes[i + 1], "elu" if elu else "linear", rng))
 
     def forward(self, x) -> Tensor:
         for layer in self.layers:
@@ -129,10 +115,10 @@ class GruCell(Module):
         sx = 1.0 / math.sqrt(input_size)
         sh = 1.0 / math.sqrt(hidden_size)
         self.w_x = Tensor(rng.normal(0.0, sx, size=(input_size, 3 * hidden_size)),
-                          requires_grad=True, name="w_x")
+                          requires_grad=True)
         self.w_h = Tensor(rng.normal(0.0, sh, size=(hidden_size, 3 * hidden_size)),
-                          requires_grad=True, name="w_h")
-        self.bias = Tensor(np.zeros(3 * hidden_size), requires_grad=True, name="bias")
+                          requires_grad=True)
+        self.bias = Tensor(np.zeros(3 * hidden_size), requires_grad=True)
 
     def forward(self, x, h) -> Tensor:
         x, h = ad.as_tensor(x), ad.as_tensor(h)
@@ -162,8 +148,8 @@ class Conv1d(Module):
         self.kernel = kernel
         self.stride = stride
         self.weight = Tensor(rng.normal(0.0, scale, size=(out_channels, in_channels, kernel)),
-                             requires_grad=True, name="weight")
-        self.bias = Tensor(np.zeros(out_channels), requires_grad=True, name="bias")
+                             requires_grad=True)
+        self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
 
     def out_length(self, length: int) -> int:
         return (length - self.kernel) // self.stride + 1
@@ -229,18 +215,16 @@ class DiagonalGaussian:
 
 
 class GaussianHead(Module):
-    """MLP trunk with mean/log_std outputs; log_std clamped to [-5, 2]."""
+    """ELU MLP trunk with mean/log_std outputs; log_std clamped to [-5, 2]."""
 
     def __init__(self, in_size: int, out_size: int, hidden: list[int],
-                 rng: np.random.Generator, hidden_activation: str = "elu"):
-        self.trunk = MLP([in_size] + hidden, rng, hidden_activation,
-                         out_activation=hidden_activation) if hidden else None
-        feat = hidden[-1] if hidden else in_size
-        self.mean_layer = Dense(feat, out_size, "linear", rng)
-        self.log_std_layer = Dense(feat, out_size, "linear", rng)
+                 rng: np.random.Generator):
+        self.trunk = MLP([in_size] + hidden, rng, out_elu=True)
+        self.mean_layer = Dense(hidden[-1], out_size, "linear", rng)
+        self.log_std_layer = Dense(hidden[-1], out_size, "linear", rng)
 
     def forward(self, x) -> DiagonalGaussian:
-        feat = self.trunk(x) if self.trunk is not None else ad.as_tensor(x)
+        feat = self.trunk(x)
         mean = self.mean_layer(feat)
         log_std = ad.clip(self.log_std_layer(feat), LOG_STD_MIN, LOG_STD_MAX)
         return DiagonalGaussian(mean, log_std)
@@ -303,15 +287,18 @@ class Adam:
         return out
 
     def load_state(self, arrays: dict[str, np.ndarray]):
+        """Inverse of state_arrays(); names, shapes and dtypes must match."""
+        check_arrays(arrays, {k: (v.shape, v.dtype) for k, v in self.state_arrays().items()},
+                     "optimizer")
         self.t = int(arrays["__t__"][0])
         for k in self.params:
-            self.m[k] = np.asarray(arrays[f"m.{k}"], dtype=np.float64).copy()
-            self.v[k] = np.asarray(arrays[f"v.{k}"], dtype=np.float64).copy()
+            self.m[k] = arrays[f"m.{k}"].copy()
+            self.v[k] = arrays[f"v.{k}"].copy()
 
 
-def clip_grad_norm(params: dict[str, Tensor] | list[Tensor], max_norm: float) -> float:
+def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most max_norm."""
-    tensors = list(params.values()) if isinstance(params, dict) else list(params)
+    tensors = params.values()
     total = 0.0
     for p in tensors:
         if p.grad is not None:
@@ -336,14 +323,27 @@ def clip_grad_norm(params: dict[str, Tensor] | list[Tensor], max_norm: float) ->
 _CHECKPOINT_DTYPES = ("<f8", "<i8")   # the dtypes save_checkpoint writes
 
 
+def stored_dtype(dtype) -> np.dtype:
+    """The dtype save_checkpoint writes an array of `dtype` as."""
+    return np.dtype(np.int64 if np.dtype(dtype) == np.int64 else np.float64)
+
+
+def check_arrays(arrays: dict, expected: dict, what: str):
+    """Raise ArtifactMismatchError unless `arrays` holds exactly the names of
+    `expected`, each with its (shape, dtype)."""
+    got = {k: (a.shape, a.dtype) for k, a in arrays.items()}
+    if got != expected:
+        diff = sorted(set(got.items()) ^ set(expected.items()), key=str)
+        raise ArtifactMismatchError(f"{what} arrays do not match this config: {diff}")
+
+
 def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = None):
     table = []
     buffers = []
     digest = hashlib.sha256()
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name])
-        if arr.dtype not in (np.float64, np.int64):
-            arr = arr.astype(np.float64)
+        arr = arr.astype(stored_dtype(arr.dtype), copy=False)
         table.append({"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape)})
         buffers.append(arr.tobytes())
         digest.update(buffers[-1])

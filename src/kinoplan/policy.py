@@ -29,8 +29,7 @@ class Actor(Module):
         self.action_dim = action_dim
         in_dim = obs_dim + d_h + self.rollout_dim
         self.trunk = MLP([in_dim, *hidden, action_dim], rng)
-        self.log_std = Tensor(np.full(action_dim, init_log_std), requires_grad=True,
-                              name="log_std")
+        self.log_std = Tensor(np.full(action_dim, init_log_std), requires_grad=True)
 
     def forward(self, obs, h, rollout_flat) -> DiagonalGaussian:
         obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))

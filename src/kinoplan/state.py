@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-X_FIELDS = ("p_x", "p_z", "pitch", "v_x", "v_z", "pitch_rate", "height_offset")
 X_DIM = 7
 
 IDX_PX, IDX_PZ, IDX_PITCH, IDX_VX, IDX_VZ, IDX_OMEGA, IDX_OFFSET = range(7)

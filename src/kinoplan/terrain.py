@@ -21,6 +21,7 @@ X_MIN = -3.0
 X_MAX = 12.0
 _RISER = 1e-9   # horizontal extent of a "vertical" riser segment
 SKY = 1e9        # ceiling height where there is no ceiling
+FAN_LO_DEG, FAN_HI_DEG = -80.0, 30.0   # depth-scan fan, relative to the body pitch
 
 
 def slope_angle_deg(level: int) -> float:
@@ -53,11 +54,6 @@ class TerrainProfile:
 
     def floor_height(self, s):
         return np.interp(s, self.floor_x, self.floor_z)
-
-    def ceiling_height(self, s):
-        if self.ceiling_x is None:
-            return np.full_like(np.asarray(s, dtype=np.float64), SKY)
-        return np.interp(s, self.ceiling_x, self.ceiling_z, left=SKY, right=SKY)
 
     def segments(self) -> np.ndarray:
         """All surfaces as (S, 4) rows (x0, z0, x1, z1) for ray casting."""
@@ -208,11 +204,10 @@ def raycast(origin, angles, segments: np.ndarray, max_range: float) -> np.ndarra
     return np.minimum(np.where(valid, t, np.inf).min(axis=-2), max_range)
 
 
-def render_depth_scan(x_state, segments: np.ndarray, k: int, max_range: float,
-                      fan_lo_deg: float = -80.0, fan_hi_deg: float = 30.0) -> np.ndarray:
+def render_depth_scan(x_state, segments: np.ndarray, k: int, max_range: float) -> np.ndarray:
     """Cast a forward fan of k rays from the body center, pitched with the
-    body, against a terrain's `segments()`; x_state (..., 7) and segments
-    (..., S, 4) share their leading shape."""
+    body, from FAN_LO_DEG to FAN_HI_DEG against a terrain's `segments()`;
+    x_state (..., 7) and segments (..., S, 4) share their leading shape."""
     x_state = np.asarray(x_state, dtype=np.float64)
-    angles = x_state[..., 2:3] + np.deg2rad(np.linspace(fan_lo_deg, fan_hi_deg, k))
+    angles = x_state[..., 2:3] + np.deg2rad(np.linspace(FAN_LO_DEG, FAN_HI_DEG, k))
     return raycast(x_state[..., 0:2], angles, segments, max_range)

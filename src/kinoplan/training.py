@@ -27,7 +27,7 @@ from .config import ExperimentConfig
 from .env import EnvBatch, curriculum_advance
 from .errors import ArtifactMismatchError, DataError, TrainingError
 from .model import InternalModel, LOSS_TERMS
-from .nn import Adam, clip_grad_norm, load_checkpoint, save_checkpoint
+from .nn import Adam, check_arrays, clip_grad_norm, load_checkpoint, save_checkpoint
 from .policy import Actor, Critic
 from .state import IDX_PX, X_DIM
 
@@ -38,7 +38,7 @@ RESUME_KIND = "kinoplan-resume-3"
 
 @dataclass
 class RolloutBatch:
-    """On-policy arrays over (T, B); advantages normalized per batch."""
+    """On-policy arrays over (T, B), with their GAE advantages and returns."""
 
     obs: np.ndarray
     priv: np.ndarray
@@ -48,10 +48,8 @@ class RolloutBatch:
     log_probs: np.ndarray
     rewards: np.ndarray
     dones: np.ndarray
-    values: np.ndarray
     advantages: np.ndarray | None = None
     returns: np.ndarray | None = None
-    generation: int = 0
 
     @property
     def size(self) -> int:
@@ -80,15 +78,6 @@ def compute_gae(rewards: np.ndarray, values: np.ndarray, dones: np.ndarray,
         running = delta + gamma * lam * mask * running
         adv[t] = running
     return adv, adv + values[:-1]
-
-
-def _check_arrays(arrays: dict, expected: dict, what: str):
-    """Raise ArtifactMismatchError unless `arrays` holds exactly the names of
-    `expected`, each with its (shape, dtype)."""
-    got = {k: (a.shape, a.dtype) for k, a in arrays.items()}
-    if got != expected:
-        diff = sorted(set(got.items()) ^ set(expected.items()), key=str)
-        raise ArtifactMismatchError(f"{what} arrays do not match this config: {diff}")
 
 
 class SequenceReplay:
@@ -188,7 +177,7 @@ class SequenceReplay:
         if total > self.capacity:
             raise ArtifactMismatchError(f"replay state of {total} records exceeds its "
                                         f"capacity of {self.capacity}")
-        _check_arrays(arrays, {
+        check_arrays(arrays, {
             **{f: ((total, *ring.shape[1:]), ring.dtype) for f, ring in self.rows.items()},
             **{k: ((n, *v.shape[1:]), v.dtype) for k, v in self.episodes.items()},
             "skipped_short": ((1,), np.dtype(np.int64))}, "replay")
@@ -228,7 +217,7 @@ class Collector:
         """Inverse of state_arrays(); names, shapes and dtypes must match."""
         # more rows than an episode holds cannot match the episode arrays' shape
         used = min(int(np.max(arrays.get("length", 0))), self.episode["reward"].shape[1])
-        _check_arrays(arrays, {
+        check_arrays(arrays, {
             **{k: (getattr(self, k).shape, getattr(self, k).dtype) for k in self.ARRAYS},
             **{f"episode.{f}": ((a.shape[0], used, *a.shape[2:]), a.dtype)
                for f, a in self.episode.items()}}, "collector")
@@ -242,7 +231,7 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
                      envs: EnvBatch, obs: np.ndarray, priv: np.ndarray,
                      steps: int, steps_per_tick: int, rng: np.random.Generator,
                      collector: Collector, replay: SequenceReplay,
-                     gamma: float, lam: float, generation: int = 0):
+                     gamma: float, lam: float):
     """Run B environments for `steps` fast steps, refreshing (h, rollout)
     every `steps_per_tick` steps of each env's episode, storing PPO rows and
     model-rate replay records. The record a tick opens in env i at step t
@@ -261,8 +250,7 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
         h=np.empty((steps, *collector.h_cur.shape)),
         rollout=np.empty((steps, *collector.rollout_cur.shape)),
         actions=np.empty((steps, B, actor.action_dim)), log_probs=np.empty((steps, B)),
-        rewards=np.empty((steps, B)), dones=np.empty((steps, B)),
-        values=values[:-1], generation=generation)
+        rewards=np.empty((steps, B)), dones=np.empty((steps, B)))
     staged = collector.episode
     # step t of each staged record opened in this call, -1 for the others
     tick_step = np.full(staged["reward"].shape, -1)
@@ -352,9 +340,9 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
 def ppo_update(batch: RolloutBatch, actor: Actor, critic: Critic, optimizer: Adam,
                rng: np.random.Generator, epochs: int = 4, minibatches: int = 4,
                clip_ratio: float = 0.2, entropy_coef: float = 0.005,
-               grad_clip: float = 1.0, normalize_advantages: bool = True) -> dict:
-    """Clipped-surrogate PPO over the flattened batch; internal-model
-    parameters are untouched by construction (h/rollout enter as constants)."""
+               grad_clip: float = 1.0) -> dict:
+    """Clipped-surrogate PPO over the flattened batch, advantages normalized;
+    the internal model is untouched by construction (h/rollout enter as constants)."""
     T, B = batch.rewards.shape
     n = T * B
     obs = batch.obs.reshape(n, -1)
@@ -365,8 +353,7 @@ def ppo_update(batch: RolloutBatch, actor: Actor, critic: Critic, optimizer: Ada
     logp_old = batch.log_probs.reshape(n)
     adv = batch.advantages.reshape(n)
     returns = batch.returns.reshape(n)
-    if normalize_advantages:
-        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+    adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
     def minibatch_step(mb) -> dict:
         """One optimizer step on rows `mb`. Only floats leave it, so its tape
@@ -536,8 +523,7 @@ class Trainer:
         batch, self.obs, self.priv, infos, ticks = collect_rollouts(
             self.actor, self.critic, self.model, self.envs, self.obs, self.priv,
             tc.steps_per_iteration, self.cfg.steps_per_tick, self.rng_collect,
-            self.collector, self.replay, tc.gamma, tc.gae_lambda,
-            generation=self.iteration)
+            self.collector, self.replay, tc.gamma, tc.gae_lambda)
         self.env_steps_total += batch.size
 
         for info in infos:

@@ -51,7 +51,7 @@ def test_binary_and_broadcast_gradients(rng):
     b = Tensor(rng.normal(size=(4,)), requires_grad=True)
 
     def loss_fn():
-        return ad.sum_(ad.square(a * b + b - a / 2.0))
+        return ad.sum_(ad.square(a * b + b - a * 0.5))
 
     loss = loss_fn()
     loss.backward()

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from kinoplan.cli import main
-from kinoplan.config import ExperimentConfig, smoke_config
+from kinoplan.config import ExperimentConfig
 from kinoplan.errors import ConfigError
 from kinoplan.training import Trainer
+from smoke import smoke_config
 
 
 def _write_config(tmp_path, seed=0, **overrides):

@@ -427,8 +427,8 @@ def test_padded_batch_of_mixed_terrains_matches_single_envs():
 def test_batch_resume_matches_independent_envs(tmp_path):
     """A batch written by save_resume_state and read back by
     load_resume_state steps on exactly like the envs it was built from."""
-    from kinoplan.config import smoke_config
     from kinoplan.training import Trainer
+    from smoke import smoke_config
 
     config = smoke_config(0, env={"terrain_kind": "stairs", "terrain_level": 4,
                                   "terrain_jitter": True, "max_steps": 25},

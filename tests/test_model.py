@@ -118,7 +118,7 @@ def test_posterior_mean_gradient(model, rng):
 
 
 def _zero_wrench(model):
-    for p in model.wrench.parameters():
+    for p in model.wrench.named_parameters().values():
         p.data = np.zeros_like(p.data)
 
 
@@ -301,7 +301,7 @@ def test_model_loss_kl_zero_when_posterior_equals_prior(model, rng):
     """Forcing both latent heads to the same constant output zeroes the KL
     term, and the total equals the sum of the remaining terms."""
     for head in (model.post_z, model.prior_z):
-        for p in head.parameters():
+        for p in head.named_parameters().values():
             p.data = np.zeros_like(p.data)
     batch = _batch(model, rng)
     loss, br = model.model_loss(batch, np.random.default_rng(0))
@@ -388,7 +388,7 @@ def test_decoder_dimension_and_gradient(model, rng):
     x = rng.normal(size=(2, X_DIM))
     h = Tensor(rng.normal(size=(2, CFG.d_h)) * 0.2, requires_grad=True)
     z = rng.normal(size=(2, CFG.d_z))
-    dist = model.decode(x, h.data, z)
+    dist = model.decoder(model._y_input(x, h.data, z))
     assert dist.mean.data.shape == (2, CFG.obs_dim)
 
     target = rng.normal(size=(2, CFG.obs_dim))

@@ -57,7 +57,8 @@ def test_dense_gradients(activation, rng):
     def loss_fn():
         return float(ad.sum_(ad.square(layer(x))).data)
 
-    layer.zero_grad()
+    for p in layer.named_parameters().values():
+        p.grad = None
     ad.sum_(ad.square(layer(x))).backward()
     for name, p in layer.named_parameters().items():
         num = numeric_gradient(loss_fn, p.data)
@@ -89,7 +90,7 @@ def test_dense_elu_tape_keeps_one_array_per_layer(rng):
 
 def test_gru_zero_parameters_halve_hidden(rng):
     cell = GruCell(3, 5, rng)
-    for p in cell.parameters():
+    for p in cell.named_parameters().values():
         p.data = np.zeros_like(p.data)
     h = rng.normal(size=(2, 5)) * 0.7
     out = cell(rng.normal(size=(2, 3)), h)
@@ -98,7 +99,7 @@ def test_gru_zero_parameters_halve_hidden(rng):
 
 def test_gru_zero_everything_fixed_point(rng):
     cell = GruCell(3, 5, rng)
-    for p in cell.parameters():
+    for p in cell.named_parameters().values():
         p.data = np.zeros_like(p.data)
     out = cell(np.zeros((1, 3)), np.zeros((1, 5)))
     assert np.array_equal(out.data, np.zeros((1, 5)))
@@ -120,7 +121,8 @@ def test_gru_gradients_match_finite_differences(rng):
     def loss_fn():
         return float(ad.sum_(ad.square(cell(x, h))).data)
 
-    cell.zero_grad()
+    for p in cell.named_parameters().values():
+        p.grad = None
     ad.sum_(ad.square(cell(x, h))).backward()
     for name, p in cell.named_parameters().items():
         num = numeric_gradient(loss_fn, p.data, eps=1e-5)

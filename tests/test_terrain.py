@@ -5,7 +5,7 @@ import pytest
 
 from kinoplan.errors import ConfigError
 from kinoplan.state import BodyParams
-from kinoplan.terrain import (MAX_LEVEL, TERRAIN_KINDS, X_MAX, X_MIN, build_terrain,
+from kinoplan.terrain import (MAX_LEVEL, SKY, TERRAIN_KINDS, X_MAX, X_MIN, build_terrain,
                               crawl_clearance, gap_width, interp_rows, raycast,
                               render_depth_scan, slope_angle_deg, step_rise)
 
@@ -38,7 +38,8 @@ def test_crawl_clearance_respects_min_crouch():
     for lvl in range(MAX_LEVEL + 1):
         terrain = build_terrain("crawl", lvl)
         s = np.linspace(-2, 10, 400)
-        gapv = terrain.ceiling_height(s) - terrain.floor_height(s)
+        ceiling = np.interp(s, terrain.ceiling_x, terrain.ceiling_z, left=SKY, right=SKY)
+        gapv = ceiling - terrain.floor_height(s)
         assert np.all(gapv >= min_crouch_top)
 
 

@@ -12,7 +12,6 @@ import pytest
 from kinoplan import autodiff as ad
 from kinoplan import training
 from kinoplan.autodiff import Tensor
-from kinoplan.config import smoke_config
 from kinoplan.env import EnvBatch, EnvConfig, PlanarEnv, env_seeds
 from kinoplan.errors import ArtifactMismatchError, ConfigError, DataError, TrainingError
 from kinoplan.nn import Adam, load_checkpoint, param_checksum, save_checkpoint
@@ -20,6 +19,7 @@ from kinoplan.policy import Actor, Critic
 from kinoplan.training import (SequenceReplay, Trainer, compute_gae, collect_rollouts,
                                ppo_update)
 from oracles import ListReplay, episode_records
+from smoke import smoke_config
 
 
 # -- GAE ------------------------------------------------------------------------
@@ -239,16 +239,6 @@ def test_stop_gradient_contract_over_full_ppo_phase(tmp_path):
     assert param_checksum(tr.actor) != actor_before    # actor actually moved
 
 
-def test_on_policy_generation_tag(tmp_path):
-    cfg = smoke_config(1, train={"num_envs": 2, "steps_per_iteration": 10})
-    tr = Trainer(cfg, str(tmp_path / "run"))
-    batch, *_ = collect_rollouts(
-        tr.actor, tr.critic, tr.model, tr.envs, tr.obs, tr.priv, 10,
-        cfg.steps_per_tick, tr.rng_collect, tr.collector, tr.replay, 0.99, 0.95,
-        generation=7)
-    assert batch.generation == 7
-
-
 # -- trainer end-to-end --------------------------------------------------------------------
 
 def test_trainer_metrics_schema_and_checkpoints(tmp_path):
@@ -365,15 +355,34 @@ def test_resume_rejects_previous_resume_kind(tmp_path):
         _resume_trainer(tmp_path, "b").load_resume_state(str(path))
 
 
-@pytest.mark.parametrize("name", ["replay.obs", "replay.terminal_x",
-                                  "collector.episode.x"])
-def test_resume_rejects_array_of_wrong_shape(tmp_path, name):
+def _resume_file(tmp_path):
+    """A resume file written after one iteration, read back as (arrays, meta)."""
     tr = _resume_trainer(tmp_path, "a")
     tr.run_iteration()
     path = tmp_path / "state.kpt"
     tr.save_resume_state(str(path))
-    arrays, meta = load_checkpoint(str(path))
+    return (path, *load_checkpoint(str(path)))
+
+
+@pytest.mark.parametrize("name", ["replay.obs", "replay.terminal_x",
+                                  "collector.episode.x", "opt_ac.m.actor.log_std",
+                                  "envs.x", "envs.floor_z"])
+def test_resume_rejects_array_of_wrong_shape(tmp_path, name):
+    path, arrays, meta = _resume_file(tmp_path)
     arrays[name] = arrays[name][..., :-1]
+    save_checkpoint(str(path), arrays, meta)
+    with pytest.raises(ArtifactMismatchError, match=name.split(".", 1)[1]):
+        _resume_trainer(tmp_path, "b").load_resume_state(str(path))
+
+
+@pytest.mark.parametrize("name", ["opt_model.__t__", "opt_ac.v.critic.extra",
+                                  "envs.contact", "envs.extra", "model.extra"])
+def test_resume_rejects_missing_or_extra_array(tmp_path, name):
+    path, arrays, meta = _resume_file(tmp_path)
+    if name in arrays:
+        del arrays[name]
+    else:
+        arrays[name] = np.zeros(3)
     save_checkpoint(str(path), arrays, meta)
     with pytest.raises(ArtifactMismatchError, match=name.split(".", 1)[1]):
         _resume_trainer(tmp_path, "b").load_resume_state(str(path))
@@ -492,7 +501,7 @@ def _ppo_peak_increase(minibatches: int, rows: int) -> int:
         h=rng.normal(size=(T, B, d_h)), rollout=rng.normal(size=(T, B, horizon * 7)),
         actions=rng.normal(size=(T, B, act)), log_probs=rng.normal(size=(T, B)) - 3.0,
         rewards=rng.normal(size=(T, B)), dones=np.zeros((T, B)),
-        values=np.zeros((T, B)), advantages=rng.normal(size=(T, B)),
+        advantages=rng.normal(size=(T, B)),
         returns=rng.normal(size=(T, B)))
     tracemalloc.start()
     try:
