@@ -16,7 +16,7 @@ from .errors import ConfigError
 from .model import ModelConfig
 from .planner import ConstraintSet, PlannerConfig
 
-CONFIG_SCHEMA_VERSION = 1
+CONFIG_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -120,15 +120,6 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         self.train.validate()
         self.planner.validate()
-        if self.planner.horizon != self.model.imagination_horizon:
-            raise ConfigError(
-                "planner.horizon", f"{self.planner.horizon} != model.imagination_horizon "
-                f"{self.model.imagination_horizon} (the warm start hands the actor the "
-                "imagined rollout of the planner horizon)")
-        if self.model.obs_dim != self.env.obs_dim:
-            raise ConfigError(
-                "model", f"model obs dim {self.model.obs_dim} != env obs dim "
-                f"{self.env.obs_dim} (history/scan settings disagree)")
         if self.env.scan_every != int(round(self.model.dt_model / self.env.dt)):
             raise ConfigError(
                 "model.dt_model", "model timestep must equal env.dt * env.scan_every "

@@ -8,12 +8,18 @@ planted-foot contact mode and Coulomb drag) lives in `state.advance_state`;
 the air, step-riser blocking and the landing clamp. The synthetic depth scan
 is refreshed at the 10 Hz sensor rate.
 
+The observation layout is fixed by module constants, which the internal
+model reads too: HISTORY_LEN proprio rows of PROPRIO_DIM, then SCAN_RAYS
+depth readings out to SCAN_MAX_RANGE (OBS_DIM in all), and ACTION_DIM action
+entries. Gravity is `BodyParams.gravity`, the one body both share through
+`EnvConfig.body`; 0 turns it off.
+
 Batch layout. An `EnvState` holds envs as arrays over a leading shape: ()
 for one `PlanarEnv`, (B,) for an `EnvBatch`. Per env it holds
 
     x (7), contact, v_cmd, step_count, friction,
     prev_action (4), prev_height_rate, air_steps, stuck_steps, episode_return,
-    history (history_len x PROPRIO_DIM, oldest row first), scan (scan_rays),
+    history (HISTORY_LEN x PROPRIO_DIM, oldest row first), scan (SCAN_RAYS),
 
 and the env's terrain as arrays, each padded to the batch's common width:
 
@@ -31,8 +37,8 @@ envs.
 
 `reset` and `step` return flat observations:
 
-    obs  = [proprio history (history_len x PROPRIO_DIM, oldest row first),
-            depth scan (scan_rays)]
+    obs  = [proprio history (HISTORY_LEN x PROPRIO_DIM, oldest row first),
+            depth scan (SCAN_RAYS)]
     priv = [obs, scan dots (SCAN_DOT_COUNT floor heights relative to p_z),
             v_x, v_z, pitch_rate, contact force, mass, friction]
 """
@@ -54,6 +60,12 @@ from .terrain import (MAX_LEVEL, SKY, X_MAX, X_MIN, TerrainProfile, build_terrai
                       interp_rows, render_depth_scan)
 
 PROPRIO_DIM = 9          # [d, d_rate, sin pitch, cos pitch, v_cmd, prev_action(4)]
+HISTORY_LEN = 5          # proprio rows per observation
+HISTORY_SIZE = HISTORY_LEN * PROPRIO_DIM     # observation columns before the scan
+SCAN_RAYS = 64
+SCAN_MAX_RANGE = 3.0
+OBS_DIM = HISTORY_SIZE + SCAN_RAYS
+ACTION_DIM = 4
 SCAN_DOT_COUNT = 11
 SCAN_DOT_OFFSETS = np.linspace(-0.5, 1.5, SCAN_DOT_COUNT)   # floor probes around p_x
 PRIV_EXTRA_DIM = SCAN_DOT_COUNT + 3 + 1 + 2   # scan dots, twist, contact force, mass, mu
@@ -75,8 +87,6 @@ REWARD_SCALES = {
     "stuck": -1.0,
 }
 
-ACTION_DIM = 4
-
 # termination reason by code; code 0 means the episode goes on
 TERMINATIONS = (None, "collision", "fall", "pitch", "success", "timeout", "fault")
 _COLLISION, _FALL, _PITCH, _SUCCESS, _TIMEOUT, _FAULT = range(1, 7)
@@ -89,14 +99,10 @@ class EnvConfig:
     terrain_kind: str = "flat"
     terrain_level: int = 0
     terrain_jitter: bool = True
-    history_len: int = 5
-    scan_rays: int = 64
-    scan_max_range: float = 3.0
     scan_every: int = 5
     v_cmd_range: tuple[float, float] = (0.4, 1.0)
     friction_range: tuple[float, float] = (0.2, 0.4)
     frictionless: bool = False
-    gravity_on: bool = True
     start_x: float = -1.5
     goal_x: float = 8.0
     body: BodyParams = field(default_factory=BodyParams)
@@ -123,11 +129,11 @@ class EnvConfig:
 
     @property
     def obs_dim(self) -> int:
-        return self.history_len * PROPRIO_DIM + self.scan_rays
+        return OBS_DIM
 
     @property
     def priv_dim(self) -> int:
-        return self.obs_dim + PRIV_EXTRA_DIM
+        return OBS_DIM + PRIV_EXTRA_DIM
 
     def action_box(self) -> tuple[np.ndarray, np.ndarray]:
         return self._box[0], self._box[1]
@@ -313,8 +319,8 @@ def _reset_state(cfg: EnvConfig, rng: np.random.Generator, level: int | None = N
     state = EnvState(
         x=x, contact=np.True_, v_cmd=v_cmd, step_count=0, friction=friction,
         prev_action=prev_action, prev_height_rate=0.0, air_steps=0, stuck_steps=0,
-        episode_return=0.0, history=np.tile(row, (cfg.history_len, 1)),
-        scan=render_depth_scan(x, segments, cfg.scan_rays, cfg.scan_max_range),
+        episode_return=0.0, history=np.tile(row, (HISTORY_LEN, 1)),
+        scan=render_depth_scan(x, segments, SCAN_RAYS, SCAN_MAX_RANGE),
         floor_x=terrain.floor_x, floor_z=terrain.floor_z, ceiling_x=ceiling_x,
         ceiling_z=ceiling_z, disc=terrain.discontinuities, segments=segments,
         fall_z=terrain.fall_z)
@@ -351,8 +357,7 @@ def step_state(cfg: EnvConfig, s: EnvState, action) -> StepOutcome:
     contact = pz - (leg + d) <= floor_here + body.contact_tol
     air = body.air_force_scale
     wrench = select(contact, a, a * np.array([air, air, 1.0, 1.0]))
-    x2 = advance_state(s.x, wrench, cfg.dt, body, floor_at, cfg.gravity_on,
-                       friction=s.friction)
+    x2 = advance_state(s.x, wrench, cfg.dt, body, floor_at, friction=s.friction)
     px2, pz2, th2, vx2, vz2, om2, d2 = x2.T
     height_rate = (d2 - d) / cfg.dt
     planted = contact & (vz2 <= 0.0)
@@ -419,7 +424,7 @@ def step_state(cfg: EnvConfig, s: EnvState, action) -> StepOutcome:
     vars(s).update(new)
     if np.any(refresh):
         s.scan[refresh] = render_depth_scan(x2[refresh], s.segments[refresh],
-                                            cfg.scan_rays, cfg.scan_max_range)
+                                            SCAN_RAYS, SCAN_MAX_RANGE)
     return StepOutcome(reward, terms, code, fault, success, events)
 
 
@@ -442,19 +447,18 @@ def observe(cfg: EnvConfig, s: EnvState) -> tuple[np.ndarray, np.ndarray]:
     """The flat (obs, priv) of every env of `s`; layouts in the module docstring."""
     body = cfg.body
     lead = s.x.shape[:-1]
-    n_hist, n_obs = cfg.history_len * PROPRIO_DIM, cfg.obs_dim
     priv = np.empty(lead + (cfg.priv_dim,))
-    priv[..., :n_hist] = s.history.reshape(lead + (n_hist,))
-    priv[..., n_hist:n_obs] = s.scan
+    priv[..., :HISTORY_SIZE] = s.history.reshape(lead + (HISTORY_SIZE,))
+    priv[..., HISTORY_SIZE:OBS_DIM] = s.scan
     px, pz = s.x[..., IDX_PX, None], s.x[..., IDX_PZ, None]
-    priv[..., n_obs:n_obs + SCAN_DOT_COUNT] = interp_rows(
+    priv[..., OBS_DIM:OBS_DIM + SCAN_DOT_COUNT] = interp_rows(
         px + SCAN_DOT_OFFSETS, s.floor_x, s.floor_z) - pz
     priv[..., -6:-3] = s.x[..., IDX_VX:IDX_OMEGA + 1]     # v_x, v_z, pitch_rate
     support = body.mass * body.gravity - s.prev_action[..., 1]
     priv[..., -3] = select(s.contact & (support > 0.0), support, 0.0)
     priv[..., -2] = body.mass
     priv[..., -1] = s.friction
-    return priv[..., :n_obs].copy(), priv
+    return priv[..., :OBS_DIM].copy(), priv
 
 
 class PlanarEnv:

@@ -83,7 +83,6 @@ def run_planner_episode(env: PlanarEnv, model: InternalModel, actor: Actor,
                         rng: np.random.Generator, bootstrap: bool = True,
                         keep_traces: bool = False) -> EpisodeOutcome:
     """Plan at the model rate; hold each planned action for the fast window."""
-    pcfg = replace(config.planner, bootstrap=bootstrap)
     obs, _ = env.reset(level=level)
     adapter = ModelPlannerAdapter(model, actor, config.planner.sigma_floor,
                                   floor_fn=env.terrain.floor_height)
@@ -98,8 +97,8 @@ def run_planner_episode(env: PlanarEnv, model: InternalModel, actor: Actor,
     while not done:
         adapter.begin_tick(obs)
         a0, plan_prev, trace = mppi_plan(
-            None if call_index == 0 else plan_prev, y_prev, adapter, pcfg,
-            config.constraints, rng, call_index=call_index)
+            None if call_index == 0 else plan_prev, y_prev, adapter, config.planner,
+            config.constraints, rng, call_index=call_index, bootstrap=bootstrap)
         y_prev = adapter.tick_state
         trace.actual_pz = float(env.state.x[IDX_PZ])
         if trace.one_step_violation > 0:

@@ -17,18 +17,22 @@ the encoder) and return the post-encoder state with the imagined rollout
 relative to it. Training collection, policy evaluation and the planner
 adapter all call these two; `model_loss` is the training-time path. The
 floor lookup is an explicit `floor_fn` argument, never model state.
+
+The model takes the env's observation and action layout from `env`'s
+constants (HISTORY_SIZE proprio columns, then SCAN_RAYS readings scaled by
+SCAN_MAX_RANGE; ACTION_DIM) and its gravity from the `BodyParams` it is
+built with, the env's own `EnvConfig.body`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
+from .env import ACTION_DIM, HISTORY_SIZE, OBS_DIM, SCAN_MAX_RANGE, SCAN_RAYS
 from .errors import DataError, DimensionError, TrainingError
 from .nn import (Conv1d, Dense, DiagonalGaussian, GaussianHead, GruCell, MLP, Module)
 from .state import (BodyParams, IDX_OFFSET, IDX_OMEGA, IDX_PITCH,
@@ -41,29 +45,16 @@ class ModelConfig:
     d_h: int = 128
     d_z: int = 16
     d_e: int = 64
-    history_len: int = 5
-    proprio_dim: int = 9
-    scan_rays: int = 64
-    scan_max_range: float = 3.0
-    action_dim: int = 4
     dt_model: float = 0.1
     imagination_horizon: int = 8
     beta_kl: float = 1.0
     embed_hidden: int = 48
     head_hidden: int = 64
     decoder_hidden: int = 128
-    gravity_on: bool = True
 
     @property
-    def proprio_size(self) -> int:
-        return self.history_len * self.proprio_dim
-
-    @property
-    def obs_dim(self) -> int:
-        return self.proprio_size + self.scan_rays
-
-    def config_hash(self) -> str:
-        return hashlib.sha256(json.dumps(asdict(self), sort_keys=True).encode()).hexdigest()[:16]
+    def action_dim(self) -> int:
+        return ACTION_DIM
 
 
 LOSS_TERMS = ("reward_nll", "value_nll", "latent_kl", "action_cloning", "com", "reconstruction")
@@ -80,27 +71,27 @@ class InternalModel(Module):
         self.body = body
 
         # observation preprocessing
-        self.proprio_enc = Dense(cfg.proprio_size, cfg.embed_hidden, "elu", rng)
+        self.proprio_enc = Dense(HISTORY_SIZE, cfg.embed_hidden, "elu", rng)
         self.scan_conv1 = Conv1d(1, 8, 5, 2, rng)
         self.scan_conv2 = Conv1d(8, 16, 5, 2, rng)
-        scan_flat = 16 * self.scan_conv2.out_length(self.scan_conv1.out_length(cfg.scan_rays))
+        scan_flat = 16 * self.scan_conv2.out_length(self.scan_conv1.out_length(SCAN_RAYS))
         self.scan_proj = Dense(scan_flat, cfg.embed_hidden, "elu", rng)
         self.embed_out = Dense(2 * cfg.embed_hidden, cfg.d_e, "elu", rng)
 
         # recurrent core and state heads
-        gin = X_FEAT_DIM + cfg.d_z + cfg.action_dim
+        gin = X_FEAT_DIM + cfg.d_z + ACTION_DIM
         self.gru = GruCell(gin, cfg.d_h, rng)
         self.post_z = GaussianHead(cfg.d_e + cfg.d_h, cfg.d_z, [cfg.head_hidden], rng)
         self.post_x = MLP([cfg.d_e + cfg.d_h, cfg.head_hidden, X_DIM], rng)
         self.prior_z = GaussianHead(cfg.d_h, cfg.d_z, [cfg.head_hidden], rng)
-        self.wrench = MLP([cfg.d_h, cfg.head_hidden, cfg.action_dim], rng)
+        self.wrench = MLP([cfg.d_h, cfg.head_hidden, ACTION_DIM], rng)
 
         # distribution heads over the model state
         ydim = X_FEAT_DIM + cfg.d_h + cfg.d_z
-        self.decoder = GaussianHead(ydim, cfg.obs_dim, [cfg.decoder_hidden], rng)
-        self.reward_head = GaussianHead(ydim + cfg.action_dim, 1, [cfg.head_hidden], rng)
+        self.decoder = GaussianHead(ydim, OBS_DIM, [cfg.decoder_hidden], rng)
+        self.reward_head = GaussianHead(ydim + ACTION_DIM, 1, [cfg.head_hidden], rng)
         self.value_head = GaussianHead(ydim, 1, [cfg.head_hidden], rng)
-        self.policy_head = GaussianHead(ydim, cfg.action_dim, [cfg.head_hidden], rng)
+        self.policy_head = GaussianHead(ydim, ACTION_DIM, [cfg.head_hidden], rng)
 
     # -- observation handling ---------------------------------------------------
 
@@ -108,21 +99,19 @@ class InternalModel(Module):
         """Normalized observation vector (scan scaled into [0, 1]) used as the
         embedding input and the reconstruction target."""
         obs_flat = np.asarray(obs_flat, dtype=np.float64)
-        if obs_flat.shape[-1] != self.cfg.obs_dim:
+        if obs_flat.shape[-1] != OBS_DIM:
             raise DimensionError(
-                f"observation length {obs_flat.shape[-1]} != expected {self.cfg.obs_dim}")
+                f"observation length {obs_flat.shape[-1]} != expected {OBS_DIM}")
         out = obs_flat.copy()
-        ps = self.cfg.proprio_size
-        out[..., ps:] = np.clip(out[..., ps:], 0.0, self.cfg.scan_max_range) \
-            / self.cfg.scan_max_range
+        out[..., HISTORY_SIZE:] = np.clip(out[..., HISTORY_SIZE:], 0.0, SCAN_MAX_RANGE) \
+            / SCAN_MAX_RANGE
         return out
 
     def embed(self, obs_flat) -> Tensor:
         """Deterministic observation embedding from a (B, obs_dim) batch."""
         target = self.obs_target(np.atleast_2d(np.asarray(obs_flat, dtype=np.float64)))
-        ps = self.cfg.proprio_size
-        proprio = Tensor(target[:, :ps])
-        scan = Tensor(target[:, ps:].reshape(target.shape[0], 1, self.cfg.scan_rays))
+        proprio = Tensor(target[:, :HISTORY_SIZE])
+        scan = Tensor(target[:, HISTORY_SIZE:].reshape(target.shape[0], 1, SCAN_RAYS))
         pfeat = self.proprio_enc(proprio)
         sfeat = self.scan_conv2(self.scan_conv1(scan))
         sfeat = self.scan_proj(ad.reshape(sfeat, (target.shape[0], -1)))
@@ -176,9 +165,9 @@ class InternalModel(Module):
         """Differentiable semi-implicit Euler step of the kinodynamic state
         under a predicted wrench, with support contact canceling gravity and
         planting the foot."""
-        cfg, body = self.cfg, self.body
-        dt = cfg.dt_model
-        g = body.gravity if cfg.gravity_on else 0.0
+        body = self.body
+        dt = self.cfg.dt_model
+        g = body.gravity
         x_prev = np.atleast_2d(np.asarray(x_prev, dtype=np.float64))
         n = x_prev.shape[0]
 
@@ -272,7 +261,7 @@ class InternalModel(Module):
         h = np.atleast_2d(np.asarray(h, dtype=np.float64))
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
         states = np.zeros((x.shape[0], horizon, X_DIM))
-        actions = np.zeros((x.shape[0], horizon, self.cfg.action_dim))
+        actions = np.zeros((x.shape[0], horizon, ACTION_DIM))
         with no_grad():
             for k in range(horizon):
                 dist = self.internal_policy(x, h, z)
@@ -369,9 +358,3 @@ class InternalModel(Module):
             loss = weighted if loss is None else loss + weighted
         breakdown["total"] = float(loss.data)
         return loss, breakdown
-
-    # -- metadata ------------------------------------------------------------------
-
-    def checkpoint_meta(self) -> dict:
-        return {"model_config": asdict(self.cfg), "body": asdict(self.body),
-                "config_hash": self.cfg.config_hash()}

@@ -60,7 +60,6 @@ class PlannerConfig:
     gamma: float = 0.951
     sigma_floor: float = 1e-3
     penalty_weight: float = 1e3
-    bootstrap: bool = True
     max_action_retries: int = 8
 
     def validate(self):
@@ -241,9 +240,8 @@ def rollout_candidates(model, y0, actions: np.ndarray, gamma: float,
     return returns, xs
 
 
-def select_elites(actions: np.ndarray, returns: np.ndarray, violations: np.ndarray,
-                  n_elite: int, penalty_weight: float
-                  ) -> tuple[np.ndarray, bool]:
+def select_elites(returns: np.ndarray, violations: np.ndarray, n_elite: int,
+                  penalty_weight: float) -> tuple[np.ndarray, bool]:
     """Indices of the elite set: stable descending sort by return (lower index
     wins ties), keep the best feasible candidates; when fewer than n_elite are
     feasible, fall back to penalized ranking over all candidates."""
@@ -273,9 +271,10 @@ def blend_plans(a: GaussianActionPlan, b: GaussianActionPlan, weight_a: float
 
 def mppi_plan(plan_prev: GaussianActionPlan | None, y_prev, model,
               config: PlannerConfig, cset: ConstraintSet,
-              rng: np.random.Generator, call_index: int = 0
+              rng: np.random.Generator, call_index: int = 0, bootstrap: bool = True
               ) -> tuple[np.ndarray, GaussianActionPlan, DiagnosticTrace]:
-    """One full planner call; pure function of (inputs, rng state)."""
+    """One full planner call; pure function of (inputs, rng state).
+    `bootstrap` False drops the terminal value from every candidate's return."""
     config.validate()
     trace = DiagnosticTrace(call_index=call_index)
     lo, hi = cset.action_box()
@@ -305,11 +304,11 @@ def mppi_plan(plan_prev: GaussianActionPlan | None, y_prev, model,
         actions = np.clip(np.concatenate([cand, cand_pi], axis=0), lo, hi)
         t2 = time.perf_counter()
         returns, xs = rollout_candidates(model, y0, actions, config.gamma, rng,
-                                         config.bootstrap)
+                                         bootstrap)
         violations = cset.violation(xs, actions, returns)
         t3 = time.perf_counter()
-        elite_idx, fell_back = select_elites(actions, returns, violations,
-                                             config.elites, config.penalty_weight)
+        elite_idx, fell_back = select_elites(returns, violations, config.elites,
+                                             config.penalty_weight)
         elite_fit = fit_elite_plan(actions[elite_idx], config.sigma_floor)
         plan = blend_plans(elite_fit, plan, config.iteration_momentum)
         t4 = time.perf_counter()
@@ -350,7 +349,7 @@ def mppi_plan(plan_prev: GaussianActionPlan | None, y_prev, model,
     # mean-plan rollout for the predicted-vs-actual overlay: offset 0 is the
     # posterior state estimate, offsets 1..H-1 the open-loop mean plan
     mean_returns, mean_xs = rollout_candidates(
-        model, y0, plan.mean[None], config.gamma, rng, config.bootstrap)
+        model, y0, plan.mean[None], config.gamma, rng, bootstrap)
     trace.predicted_pz = np.concatenate([[_y0_pz(y0)],
                                          mean_xs[0, :horizon - 1, 1]])
     trace.timing_ms["finalize"] = (time.perf_counter() - t5) * 1e3

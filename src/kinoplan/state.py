@@ -89,7 +89,7 @@ def select(cond, a, b):
 
 
 def advance_state(x: np.ndarray, wrench: np.ndarray, dt: float, body: BodyParams,
-                  floor_at=None, gravity_on: bool = True, friction=0.0) -> np.ndarray:
+                  floor_at=None, friction=0.0) -> np.ndarray:
     """Semi-implicit Euler step of x: (..., 7) under wrench: (..., 4) =
     [f_x, f_z, torque, height_rate], either of x's leading shape or one
     wrench for all.
@@ -108,7 +108,7 @@ def advance_state(x: np.ndarray, wrench: np.ndarray, dt: float, body: BodyParams
     # calls cost several times more in the simulator's step of one env.
     px, pz, th, vx, vz, om, d = np.asarray(x, dtype=np.float64).T
     fx, fz, tau, drate = np.asarray(wrench, dtype=np.float64).T
-    g = body.gravity if gravity_on else 0.0
+    g = body.gravity
 
     d2 = np.minimum(np.maximum(d + dt * drate, body.offset_min), body.offset_max)
     om2 = om + dt * tau / body.inertia
@@ -121,7 +121,7 @@ def advance_state(x: np.ndarray, wrench: np.ndarray, dt: float, body: BodyParams
         pz2 = pz + dt * vz2
     else:
         contact = pz - (body.leg_length + d) <= floor_at(px) + body.contact_tol
-        dv = np.minimum(friction * body.gravity * dt, np.abs(vx2))
+        dv = np.minimum(friction * g * dt, np.abs(vx2))
         vx2 = select(contact & (friction > 0.0), vx2 - np.copysign(dv, vx2), vx2)
         px2 = px + dt * vx2
         vz_c = np.maximum(vz, 0.0) + dt * np.maximum(fz / body.mass - g, 0.0)

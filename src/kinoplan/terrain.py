@@ -49,7 +49,6 @@ class TerrainProfile:
     ceiling_x: np.ndarray | None = None
     ceiling_z: np.ndarray | None = None
     discontinuities: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    goal_x: float = 8.0
     fall_z: float = -0.3
 
     def floor_height(self, s):

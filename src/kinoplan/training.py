@@ -479,8 +479,7 @@ class Trainer:
                               if k.startswith(prefix + ".")})
 
     def save_checkpoint(self, path: str):
-        meta = {"kind": "kinoplan-agent", **self.model.checkpoint_meta(),
-                "iteration": self.iteration,
+        meta = {"kind": "kinoplan-agent", "iteration": self.iteration,
                 "config": self.cfg.to_dict()}
         save_checkpoint(path, self.checkpoint_arrays(), meta)
 

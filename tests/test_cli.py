@@ -8,9 +8,13 @@ import os
 import numpy as np
 import pytest
 
+from kinoplan import evaluate
 from kinoplan.cli import main
 from kinoplan.config import ExperimentConfig
+from kinoplan.env import PlanarEnv
 from kinoplan.errors import ConfigError
+from kinoplan.model import InternalModel
+from kinoplan.policy import Actor
 from kinoplan.training import Trainer
 from smoke import smoke_config
 
@@ -42,17 +46,65 @@ def test_unknown_field_exits_2_with_name(tmp_path, capsys):
     assert "planner.wat" in capsys.readouterr().err
 
 
-def test_planner_horizon_must_equal_imagination_horizon(tmp_path, capsys):
-    with pytest.raises(ConfigError) as err:
-        smoke_config(0, planner={"horizon": 3})
-    assert err.value.field == "planner.horizon"
+def test_planner_horizon_may_be_shorter_than_imagination_horizon(tmp_path, monkeypatch):
+    """A 3-step planner over a 4-step imagined rollout plans (3, 4) action
+    plans in an eval episode, and its config trains."""
+    cfg = smoke_config(0, planner={"horizon": 3}, train=TINY_TRAIN)
+    assert cfg.model.imagination_horizon == 4
+    plan_shapes = []
+    real_plan = evaluate.mppi_plan
 
-    data = smoke_config(0).to_dict()
-    data["planner"]["horizon"] = 3
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
+    def recording_plan(*args, **kwargs):
+        a0, plan, trace = real_plan(*args, **kwargs)
+        plan_shapes.append((plan.mean.shape, plan.std.shape))
+        return a0, plan, trace
+
+    monkeypatch.setattr(evaluate, "mppi_plan", recording_plan)
+    rng = np.random.default_rng(0)
+    m = cfg.model
+    model = InternalModel(m, cfg.env.body, rng)
+    actor = Actor(cfg.env.obs_dim, m.d_h, m.imagination_horizon, m.action_dim, rng)
+    evaluate.run_planner_episode(PlanarEnv(cfg.env, seed=0), model, actor, cfg,
+                                 cfg.env.terrain_level, rng)
+    assert plan_shapes and set(plan_shapes) == {((3, 4), (3, 4))}
+
+    path = tmp_path / "config.json"
+    path.write_text(cfg.resolved_json())
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "r")]) == 0
+
+
+@pytest.mark.parametrize("section, values, field", [
+    ("env", {"history_len": 4, "scan_rays": 73}, "env.history_len"),
+    ("env", {"gravity_on": False}, "env.gravity_on"),
+    ("model", {"gravity_on": False}, "model.gravity_on"),
+    ("planner", {"bootstrap": False}, "planner.bootstrap"),
+])
+def test_layout_gravity_and_bootstrap_are_not_config_fields(section, values, field):
+    """The observation layout is env.py's, gravity is env.body.gravity and
+    the eval mode chooses the bootstrap, so no config field sets them."""
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict({"seed": 0, section: values})
+    assert err.value.field == field
+
+
+def _schema_1(cfg: ExperimentConfig) -> str:
+    """`cfg` as config.json was written at config schema version 1."""
+    data = cfg.to_dict()
+    data["config_schema_version"] = 1
+    layout = {"history_len": 5, "scan_rays": 64, "scan_max_range": 3.0,
+              "gravity_on": True}
+    data["env"].update(layout)
+    data["model"].update(layout, proprio_dim=9, action_dim=4)
+    data["planner"]["bootstrap"] = True
+    return json.dumps(data)
+
+
+def test_schema_1_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(_schema_1(smoke_config(0, train=TINY_TRAIN)))
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
-    assert "planner.horizon" in capsys.readouterr().err
+    assert "config_schema_version" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("name", ["checkpoint_every", "curriculum_window"])
@@ -130,6 +182,11 @@ def test_train_resume_rejects_missing_foreign_or_mismatched_state(tmp_path, caps
         smoke_config(7, train={**RESUMABLE_TRAIN, "iterations": 1}).resolved_json())
     assert main(["train", "--resume", str(run)]) == 3
     assert "another config" in capsys.readouterr().err
+
+    (run / "config.json").write_text(                                  # old schema
+        _schema_1(smoke_config(6, train={**RESUMABLE_TRAIN, "iterations": 1})))
+    assert main(["train", "--resume", str(run)]) == 2
+    assert "config_schema_version" in capsys.readouterr().err
 
     state.unlink()                                                     # missing
     assert main(["train", "--resume", str(run)]) == 3
@@ -228,6 +285,19 @@ def test_checkpoint_mismatch_exits_3(tmp_path, trained_checkpoint):
                  "--terrains", "flat", "--levels", "0", "--seeds", "0",
                  "--episodes", "1", "--out", str(tmp_path / "e")])
     assert code == 3
+
+
+def test_schema_1_checkpoint_exits_2(tmp_path, trained_checkpoint, capsys):
+    header, _, body = open(trained_checkpoint, "rb").read().partition(b"\n")
+    edited = json.loads(header)
+    edited["meta"]["config"]["config_schema_version"] = 1
+    old = tmp_path / "old.kpt"
+    old.write_bytes(json.dumps(edited).encode() + b"\n" + body)
+    code = main(["eval", "--checkpoint", str(old), "--mode", "policy_only",
+                 "--terrains", "flat", "--levels", "0", "--seeds", "0",
+                 "--episodes", "1", "--out", str(tmp_path / "e")])
+    assert code == 2
+    assert "config_schema_version" in capsys.readouterr().err
 
 
 def test_malformed_checkpoint_header_exits_3(tmp_path, trained_checkpoint):

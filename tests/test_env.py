@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from kinoplan.env import (ACTION_DIM, EnvBatch, EnvConfig, EnvState, PlanarEnv,
-                          PROPRIO_DIM, REWARD_SCALES, SCAN_DOT_COUNT, curriculum_advance,
+from kinoplan.env import (ACTION_DIM, EnvBatch, EnvConfig, EnvState, HISTORY_LEN,
+                          HISTORY_SIZE, PlanarEnv, PROPRIO_DIM, REWARD_SCALES,
+                          SCAN_DOT_COUNT, curriculum_advance,
                           env_seeds, lin_tracking_reward, observe, step_state,
                           total_reward)
 from kinoplan.errors import ConfigError
@@ -23,12 +24,11 @@ def make_env(seed=0, **kw):
 
 def history(env, obs):
     """The proprio history rows of a flat observation, oldest first."""
-    return obs[:env.cfg.history_len * PROPRIO_DIM].reshape(env.cfg.history_len,
-                                                          PROPRIO_DIM)
+    return obs[:HISTORY_SIZE].reshape(HISTORY_LEN, PROPRIO_DIM)
 
 
 def depth_scan(env, obs):
-    return obs[env.cfg.history_len * PROPRIO_DIM:]
+    return obs[HISTORY_SIZE:]
 
 
 # -- stepping physics -------------------------------------------------------------
@@ -59,8 +59,7 @@ def test_step_is_one_shared_integrator_step_on_flat(rng):
             floor = env.terrain.floor_height(x[IDX_PX])
             assert (foot_height(x, body) > floor + body.contact_tol) == airborne
             want = advance_state(x, a * air_scale if airborne else a, cfg.dt, body,
-                                 env.terrain.floor_height, cfg.gravity_on,
-                                 friction=0.3)
+                                 env.terrain.floor_height, friction=0.3)
             env.step(a)
             assert np.array_equal(env.state.x, want)
 

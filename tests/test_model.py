@@ -8,6 +8,7 @@ import pytest
 
 from kinoplan import autodiff as ad
 from kinoplan.autodiff import Tensor
+from kinoplan.env import HISTORY_SIZE, OBS_DIM, SCAN_MAX_RANGE, SCAN_RAYS
 from kinoplan.errors import DataError, DimensionError, TrainingError
 from kinoplan.model import InternalModel, ModelConfig
 from kinoplan.nn import Adam
@@ -28,8 +29,8 @@ def model(rng):
 
 
 def _obs(rng, n=1):
-    obs = rng.normal(size=(n, CFG.obs_dim)) * 0.3
-    obs[:, CFG.proprio_size:] = rng.uniform(0.1, 3.0, size=(n, CFG.scan_rays))
+    obs = rng.normal(size=(n, OBS_DIM)) * 0.3
+    obs[:, HISTORY_SIZE:] = rng.uniform(0.1, 3.0, size=(n, SCAN_RAYS))
     return obs
 
 
@@ -52,25 +53,25 @@ def test_embed_deterministic(model, rng):
 def test_embed_clamps_beyond_max_range(model, rng):
     obs = _obs(rng)
     far = obs.copy()
-    far[:, CFG.proprio_size + 10] = 50.0
-    obs[:, CFG.proprio_size + 10] = CFG.scan_max_range
+    far[:, HISTORY_SIZE + 10] = 50.0
+    obs[:, HISTORY_SIZE + 10] = SCAN_MAX_RANGE
     assert model.embed(obs).data.tobytes() == model.embed(far).data.tobytes()
 
 
 def test_embed_wrong_length_raises(model):
     with pytest.raises(DimensionError):
-        model.embed(np.zeros((1, CFG.obs_dim + 1)))
+        model.embed(np.zeros((1, OBS_DIM + 1)))
 
 
 def test_embed_gradient_wrt_scan(model, rng):
     obs = _obs(rng)
-    scan = Tensor(obs[:, CFG.proprio_size:] / CFG.scan_max_range, requires_grad=True)
-    proprio = Tensor(obs[:, :CFG.proprio_size])
+    scan = Tensor(obs[:, HISTORY_SIZE:] / SCAN_MAX_RANGE, requires_grad=True)
+    proprio = Tensor(obs[:, :HISTORY_SIZE])
 
     def forward():
         pf = model.proprio_enc(proprio)
         sf = model.scan_conv2(model.scan_conv1(
-            ad.reshape(scan, (1, 1, CFG.scan_rays))))
+            ad.reshape(scan, (1, 1, SCAN_RAYS))))
         sf = model.scan_proj(ad.reshape(sf, (1, -1)))
         return ad.sum_(ad.square(model.embed_out(ad.concat([pf, sf], axis=-1))))
 
@@ -123,7 +124,7 @@ def _zero_wrench(model):
 
 
 def test_prior_zero_wrench_gravity_off_equilibrium(rng):
-    model = InternalModel(replace(CFG, gravity_on=False), BODY, rng)
+    model = InternalModel(CFG, replace(BODY, gravity=0.0), rng)
     _zero_wrench(model)
     x_prev = np.zeros((1, X_DIM))
     h = rng.normal(size=(1, CFG.d_h)) * 0.1
@@ -143,7 +144,7 @@ def test_prior_zero_wrench_contact_support(model, rng):
 
 
 def test_prior_unit_wrench_semi_implicit(rng):
-    model = InternalModel(replace(CFG, gravity_on=False, dt_model=0.1), BODY, rng)
+    model = InternalModel(replace(CFG, dt_model=0.1), replace(BODY, gravity=0.0), rng)
     _zero_wrench(model)
     model.wrench.layers[-1].bias.data[:] = [1.0, 0.0, 0.0, 0.0]
     x_prev = np.zeros((1, X_DIM))
@@ -162,8 +163,7 @@ def test_prior_integrator_matches_shared_integrator(model, rng):
         x_prev[:, 1] += 10.0  # airborne
         wrench = rng.normal(size=(3, 4)) * 5
         got = model.integrate(x_prev, Tensor(wrench)).data
-        want = advance_state(x_prev, wrench, CFG.dt_model, BODY, floor_at=None,
-                             gravity_on=CFG.gravity_on)
+        want = advance_state(x_prev, wrench, CFG.dt_model, BODY, floor_at=None)
         assert np.max(np.abs(got - want)) < 1e-12
     for kind in ("flat", "slope", "stairs", "gap"):
         terrain = build_terrain(kind, 4)
@@ -179,8 +179,7 @@ def test_prior_integrator_matches_shared_integrator(model, rng):
             got = model.integrate(x_prev, Tensor(wrench),
                                   floor_fn=terrain.floor_height).data
             want = advance_state(x_prev, wrench, CFG.dt_model, BODY,
-                                 floor_at=terrain.floor_height,
-                                 gravity_on=CFG.gravity_on)
+                                 floor_at=terrain.floor_height)
             assert np.max(np.abs(got - want)) < 1e-12, kind
 
 
@@ -269,7 +268,7 @@ def test_imagine_first_state_monte_carlo_mean(model, rng):
 
 
 def _batch(model, rng, B=3, L=4):
-    obs = _obs(rng, B * L).reshape(B, L, CFG.obs_dim)
+    obs = _obs(rng, B * L).reshape(B, L, OBS_DIM)
     return {
         "obs": obs,
         "action": rng.uniform(-1, 1, size=(B, L, CFG.action_dim)),
@@ -389,9 +388,9 @@ def test_decoder_dimension_and_gradient(model, rng):
     h = Tensor(rng.normal(size=(2, CFG.d_h)) * 0.2, requires_grad=True)
     z = rng.normal(size=(2, CFG.d_z))
     dist = model.decoder(model._y_input(x, h.data, z))
-    assert dist.mean.data.shape == (2, CFG.obs_dim)
+    assert dist.mean.data.shape == (2, OBS_DIM)
 
-    target = rng.normal(size=(2, CFG.obs_dim))
+    target = rng.normal(size=(2, OBS_DIM))
 
     def forward():
         d = model.decoder(ad.concat(

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from kinoplan.env import HISTORY_SIZE, OBS_DIM
 from kinoplan.errors import ConfigError, DimensionError
 from kinoplan.model import InternalModel, ModelConfig
 from kinoplan.planner import (ConstraintSet, DiagnosticTrace, GaussianActionPlan,
@@ -174,7 +175,7 @@ def test_elite_enumeration_oracle():
     actions = np.array([[[0.1]], [[0.6]], [[-0.4]]])
     returns = np.array([2.0, 5.0, 1.0])
     violations = np.zeros(3)
-    idx, fallback = select_elites(actions, returns, violations, 1, 1e3)
+    idx, fallback = select_elites(returns, violations, 1, 1e3)
     assert not fallback
     assert list(idx) == [1]
     plan = fit_elite_plan(actions[idx], sigma_floor=1e-3)
@@ -183,26 +184,23 @@ def test_elite_enumeration_oracle():
 
 
 def test_elite_sort_is_stable_on_ties():
-    actions = np.zeros((4, 1, 1))
     returns = np.array([3.0, 5.0, 5.0, 1.0])
-    idx, _ = select_elites(actions, returns, np.zeros(4), 3, 1e3)
+    idx, _ = select_elites(returns, np.zeros(4), 3, 1e3)
     assert list(idx) == [1, 2, 0]
 
 
 def test_elites_skip_infeasible_when_enough_feasible():
-    actions = np.zeros((4, 1, 1))
     returns = np.array([10.0, 9.0, 8.0, 7.0])
     violations = np.array([1.0, 0.0, 0.0, 0.0])
-    idx, fallback = select_elites(actions, returns, violations, 2, 1e3)
+    idx, fallback = select_elites(returns, violations, 2, 1e3)
     assert not fallback
     assert list(idx) == [1, 2]
 
 
 def test_elite_fallback_penalized_ranking():
-    actions = np.zeros((3, 1, 1))
     returns = np.array([10.0, 9.0, 8.0])
     violations = np.array([2.0, 0.001, 5.0])
-    idx, fallback = select_elites(actions, returns, violations, 2, 1e3)
+    idx, fallback = select_elites(returns, violations, 2, 1e3)
     assert fallback
     # penalized: 10-2000, 9-1, 8-5000 -> order [1, 0, 2]
     assert list(idx) == [1, 0]
@@ -222,10 +220,10 @@ def _mini_agent(rng):
     cfg = ModelConfig(d_h=16, d_z=4, d_e=12, embed_hidden=12, head_hidden=12,
                       decoder_hidden=16, imagination_horizon=3)
     model = InternalModel(cfg, BodyParams(), rng)
-    actor = Actor(cfg.obs_dim, cfg.d_h, 3, cfg.action_dim, rng, hidden=(16,))
+    actor = Actor(OBS_DIM, cfg.d_h, 3, cfg.action_dim, rng, hidden=(16,))
     adapter = ModelPlannerAdapter(model, actor)
-    obs = np.zeros(cfg.obs_dim)
-    obs[cfg.proprio_size:] = 1.5
+    obs = np.zeros(OBS_DIM)
+    obs[HISTORY_SIZE:] = 1.5
     adapter.begin_tick(obs)
     x0 = np.zeros(X_DIM)
     x0[1] = 0.5

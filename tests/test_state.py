@@ -1,5 +1,7 @@
 """Kinodynamic state layout and the semi-implicit planar integrator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,7 @@ def test_relative_rollout_offsets_positions():
 
 def test_free_flight_zero_wrench_gravity_off_is_identity():
     x = np.zeros(X_DIM)
-    x2 = advance_state(x, np.zeros(4), 0.1, BODY, floor_at=None, gravity_on=False)
+    x2 = advance_state(x, np.zeros(4), 0.1, replace(BODY, gravity=0.0), floor_at=None)
     assert np.array_equal(x2, x)
 
 
@@ -45,7 +47,7 @@ def test_contact_support_cancels_gravity():
 def test_semi_implicit_single_step():
     x = np.zeros(X_DIM)
     wrench = np.array([1.0, 0.0, 0.0, 0.0])
-    x2 = advance_state(x, wrench, 0.1, BODY, floor_at=None, gravity_on=False)
+    x2 = advance_state(x, wrench, 0.1, replace(BODY, gravity=0.0), floor_at=None)
     assert x2[IDX_VX] == pytest.approx(0.1)
     assert x2[IDX_PX] == pytest.approx(0.01)
 
