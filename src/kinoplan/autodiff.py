@@ -2,9 +2,16 @@
 
 A dynamic tape: each op returns a new Tensor holding references to its
 parents and a closure that routes the incoming gradient to them. Only the
-operations this package actually uses are implemented; 64-bit floats
-throughout. Gradients for a scalar loss are obtained with
-``loss.backward()``.
+operations this package actually uses are implemented. Gradients for a
+scalar loss are obtained with ``loss.backward()``.
+
+Every tensor keeps its own float dtype, and ops follow numpy's promotion
+rules: a Python scalar takes the other operand's dtype, while an array or a
+tensor of a wider dtype widens the result. A gradient arrives in each
+tensor's own dtype. Two rules keep a narrow network narrow: `astype` is the
+one op that changes a dtype on purpose, and an op refuses a constant operand
+(an array, or a tensor off the tape) that would widen an operand on the tape,
+which is how a float64 array leaking into a float32 network shows up.
 """
 
 from __future__ import annotations
@@ -14,8 +21,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import DimensionError
-
-DTYPE = np.float64
 
 _GRAD_ENABLED = True
 
@@ -33,12 +38,14 @@ def no_grad():
 
 
 class Tensor:
-    """An n-d array with an optional gradient accumulator and tape node."""
+    """An n-d array with an optional gradient accumulator and tape node.
+    Float data keeps its dtype; any other data becomes float64."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=DTYPE)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
@@ -63,7 +70,7 @@ class Tensor:
                                      "requires a scalar tensor")
             grad = np.ones_like(self.data)
         else:
-            grad = np.asarray(grad, dtype=DTYPE)
+            grad = np.asarray(grad, dtype=self.data.dtype)
             if grad.shape != self.data.shape:
                 raise DimensionError(
                     f"seed gradient shape {grad.shape} != tensor shape {self.data.shape}")
@@ -96,6 +103,8 @@ class Tensor:
             for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None:
                     continue
+                if pg.dtype != parent.data.dtype:   # a promoted op, or astype
+                    pg = pg.astype(parent.data.dtype)
                 key = id(parent)
                 if key in grads:
                     grads[key] = grads[key] + pg
@@ -131,6 +140,28 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def constant_as(x, dtype) -> Tensor:
+    """`x` as a tensor, in `dtype` if it is a constant (an array, or a tensor
+    off the tape). A tensor on the tape keeps its dtype, so a float64
+    gradient check through a float32 layer runs in float64."""
+    x = as_tensor(x)
+    if x.data.dtype == dtype or _tracked(x):
+        return x
+    return Tensor(x.data.astype(dtype))
+
+
+def _pair(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as tensors. A Python scalar takes the other operand's
+    dtype, as it does in numpy, so `0.5 * x` keeps a float32 x float32."""
+    if type(a) in (int, float):
+        b = as_tensor(b)
+        return Tensor(np.asarray(a, dtype=b.data.dtype)), b
+    a = as_tensor(a)
+    if type(b) in (int, float):
+        return a, Tensor(np.asarray(b, dtype=a.data.dtype))
+    return a, as_tensor(b)
+
+
 def _tracked(*tensors) -> bool:
     if not _GRAD_ENABLED:
         return False
@@ -140,9 +171,21 @@ def _tracked(*tensors) -> bool:
 
 def _node(data, parents, backward) -> Tensor:
     out = Tensor(data)
+    tape = [p.data.dtype for p in parents if _tracked(p)]
+    if out.data.dtype not in tape:
+        raise DimensionError(f"a constant operand widened a {tape[0]} tensor on the tape "
+                             f"to {out.data.dtype}; cast the constant first")
     out._parents = tuple(parents)
     out._backward = backward
     return out
+
+
+def _same_dtype(*tensors):
+    """dense and matmul compute in one dtype: off the tape their operands
+    must agree (on the tape, _node lets only a tape operand widen them)."""
+    if len({t.data.dtype for t in tensors}) > 1:
+        raise DimensionError("operands of different dtypes: "
+                             f"{[t.data.dtype.name for t in tensors]}")
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -164,7 +207,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # is formed (or summed down from a broadcast) only to be dropped.
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     data = a.data + b.data
     need_a, need_b = _tracked(a), _tracked(b)
     if not (need_a or need_b):
@@ -175,7 +218,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     data = a.data - b.data
     need_a, need_b = _tracked(a), _tracked(b)
     if not (need_a or need_b):
@@ -186,7 +229,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     data = a.data * b.data
     need_a, need_b = _tracked(a), _tracked(b)
     if not (need_a or need_b):
@@ -213,6 +256,7 @@ def matmul(a, b) -> Tensor:
     data = a.data @ b.data
     need_a, need_b = _tracked(a), _tracked(b)
     if not (need_a or need_b):
+        _same_dtype(a, b)
         return Tensor(data)
 
     def backward(g):
@@ -225,6 +269,18 @@ def matmul(a, b) -> Tensor:
         return ga, gb
 
     return _node(data, (a, b), backward)
+
+
+def astype(a, dtype) -> Tensor:
+    """`a` in `dtype`: the one op that changes a dtype on purpose. Its
+    gradient flows back in a's own dtype."""
+    a = as_tensor(a)
+    if a.data.dtype == dtype:
+        return a
+    out = Tensor(a.data.astype(dtype))
+    if _tracked(a):
+        out._parents, out._backward = (a,), lambda g: (g,)
+    return out
 
 
 # -- nonlinearities -------------------------------------------------------------
@@ -303,6 +359,7 @@ def dense(x, w, b, elu: bool = False) -> Tensor:
         _elu(data, out=data)
     need_x, need_w, need_b = _tracked(x), _tracked(w), _tracked(b)
     if not (need_x or need_w or need_b):
+        _same_dtype(x, w, b)
         return Tensor(data)
 
     def backward(g):

@@ -34,7 +34,8 @@ from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .env import ACTION_DIM, HISTORY_SIZE, OBS_DIM, SCAN_MAX_RANGE, SCAN_RAYS
 from .errors import DataError, DimensionError, TrainingError
-from .nn import (Conv1d, Dense, DiagonalGaussian, GaussianHead, GruCell, MLP, Module)
+from .nn import (NET_DTYPE, Conv1d, Dense, DiagonalGaussian, GaussianHead, GruCell, MLP,
+                 Module)
 from .state import (BodyParams, IDX_OFFSET, IDX_OMEGA, IDX_PITCH,
                     IDX_PX, IDX_PZ, IDX_VX, IDX_VZ, X_DIM, X_FEAT_DIM,
                     foot_height, relative_rollout, x_features)
@@ -92,24 +93,24 @@ class InternalModel(Module):
         self.reward_head = GaussianHead(ydim + ACTION_DIM, 1, [cfg.head_hidden], rng)
         self.value_head = GaussianHead(ydim, 1, [cfg.head_hidden], rng)
         self.policy_head = GaussianHead(ydim, ACTION_DIM, [cfg.head_hidden], rng)
+        self.cast(NET_DTYPE)
 
     # -- observation handling ---------------------------------------------------
 
     def obs_target(self, obs_flat: np.ndarray) -> np.ndarray:
         """Normalized observation vector (scan scaled into [0, 1]) used as the
         embedding input and the reconstruction target."""
-        obs_flat = np.asarray(obs_flat, dtype=np.float64)
-        if obs_flat.shape[-1] != OBS_DIM:
+        out = np.array(obs_flat, dtype=NET_DTYPE)
+        if out.shape[-1] != OBS_DIM:
             raise DimensionError(
-                f"observation length {obs_flat.shape[-1]} != expected {OBS_DIM}")
-        out = obs_flat.copy()
+                f"observation length {out.shape[-1]} != expected {OBS_DIM}")
         out[..., HISTORY_SIZE:] = np.clip(out[..., HISTORY_SIZE:], 0.0, SCAN_MAX_RANGE) \
             / SCAN_MAX_RANGE
         return out
 
     def embed(self, obs_flat) -> Tensor:
         """Deterministic observation embedding from a (B, obs_dim) batch."""
-        target = self.obs_target(np.atleast_2d(np.asarray(obs_flat, dtype=np.float64)))
+        target = self.obs_target(np.atleast_2d(obs_flat))
         proprio = Tensor(target[:, :HISTORY_SIZE])
         scan = Tensor(target[:, HISTORY_SIZE:].reshape(target.shape[0], 1, SCAN_RAYS))
         pfeat = self.proprio_enc(proprio)
@@ -128,12 +129,13 @@ class InternalModel(Module):
         return ad.concat([px, pz, raw[:, IDX_PITCH:]], axis=-1)
 
     def posterior_x(self, e: Tensor, h: Tensor, x_prev: np.ndarray) -> Tensor:
-        return self._assemble_x(self.post_x(ad.concat([e, h], axis=-1)), x_prev)
+        e, h = ad.constant_as(e, NET_DTYPE), ad.constant_as(h, NET_DTYPE)
+        raw = ad.astype(self.post_x(ad.concat([e, h], axis=-1)), np.float64)
+        return self._assemble_x(raw, x_prev)
 
     def posterior_update(self, e, h_next, x_prev, rng=None, noise=None):
         """Encoder branch: sample z from the posterior, estimate x from (e, h)."""
-        e = ad.as_tensor(e)
-        h_next = ad.as_tensor(h_next)
+        e, h_next = ad.constant_as(e, NET_DTYPE), ad.constant_as(h_next, NET_DTYPE)
         dist = self.post_z(ad.concat([e, h_next], axis=-1))
         if noise is None and rng is None:
             noise = np.zeros(dist.mean.data.shape)
@@ -150,7 +152,7 @@ class InternalModel(Module):
         or from `floor_now`/`floor_next` (the heights stored with a training
         batch); with neither, the body is in free flight.
         """
-        h_next = ad.as_tensor(h_next)
+        h_next = ad.constant_as(h_next, NET_DTYPE)
         dist = self.prior_z(h_next)
         if noise is None and rng is None:
             noise = np.zeros(dist.mean.data.shape)
@@ -164,7 +166,8 @@ class InternalModel(Module):
                   floor_now=None, floor_next=None, floor_fn=None) -> Tensor:
         """Differentiable semi-implicit Euler step of the kinodynamic state
         under a predicted wrench, with support contact canceling gravity and
-        planting the foot."""
+        planting the foot. The wrench enters in float64, like the state."""
+        wrench = ad.astype(wrench, np.float64)
         body = self.body
         dt = self.cfg.dt_model
         g = body.gravity
@@ -212,12 +215,12 @@ class InternalModel(Module):
     # -- distribution heads -------------------------------------------------------
 
     def _y_input(self, x, h, z) -> Tensor:
-        feats = x_features(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-        parts = [Tensor(feats), ad.as_tensor(h), ad.as_tensor(z)]
-        return ad.concat(parts, axis=-1)
+        feats = x_features(np.atleast_2d(x)).astype(NET_DTYPE)
+        h, z = ad.constant_as(h, NET_DTYPE), ad.constant_as(z, NET_DTYPE)
+        return ad.concat([Tensor(feats), h, z], axis=-1)
 
     def predict_reward(self, x, h, z, action) -> DiagonalGaussian:
-        a = ad.as_tensor(action)
+        a = ad.constant_as(action, NET_DTYPE)
         return self.reward_head(ad.concat([self._y_input(x, h, z), a], axis=-1))
 
     def predict_value(self, x, h, z) -> DiagonalGaussian:
@@ -236,7 +239,7 @@ class InternalModel(Module):
 
         Returns the next (x, h, z) as arrays.
         """
-        gin = np.concatenate([x_features(x), z, a], axis=-1)
+        gin = np.concatenate([x_features(x), z, a], axis=-1, dtype=NET_DTYPE)
         with no_grad():
             h_next = self.gru(Tensor(gin), Tensor(h)).data
             if e is not None:
@@ -258,8 +261,8 @@ class InternalModel(Module):
         if horizon < 1:
             raise ValueError(f"imagination horizon must be >= 1, got {horizon}")
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        h = np.atleast_2d(np.asarray(h, dtype=np.float64))
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+        h = np.atleast_2d(np.asarray(h, dtype=NET_DTYPE))
+        z = np.atleast_2d(np.asarray(z, dtype=NET_DTYPE))
         states = np.zeros((x.shape[0], horizon, X_DIM))
         actions = np.zeros((x.shape[0], horizon, ACTION_DIM))
         with no_grad():
@@ -295,10 +298,10 @@ class InternalModel(Module):
         for name in _BATCH_FIELDS:
             if name not in batch:
                 raise DataError(f"batch missing field '{name}'")
-        obs = np.asarray(batch["obs"], dtype=np.float64)
-        action = np.asarray(batch["action"], dtype=np.float64)
-        reward = np.asarray(batch["reward"], dtype=np.float64)
-        value_t = np.asarray(batch["value_target"], dtype=np.float64)
+        obs = np.asarray(batch["obs"], dtype=NET_DTYPE)
+        action = np.asarray(batch["action"], dtype=NET_DTYPE)
+        reward = np.asarray(batch["reward"], dtype=NET_DTYPE)
+        value_t = np.asarray(batch["value_target"], dtype=NET_DTYPE)
         x_sim = np.asarray(batch["x"], dtype=np.float64)
         x_next_sim = np.asarray(batch["x_next"], dtype=np.float64)
         x_prev0 = np.asarray(batch["x_prev"], dtype=np.float64)
@@ -306,7 +309,7 @@ class InternalModel(Module):
         floor_next = np.asarray(batch["floor_next"], dtype=np.float64)
         bsz, L = reward.shape
 
-        h = Tensor(np.zeros((bsz, self.cfg.d_h)))
+        h = Tensor(np.zeros((bsz, self.cfg.d_h), dtype=NET_DTYPE))
         totals = {k: None for k in LOSS_TERMS}
 
         def accumulate(key, value):
@@ -319,7 +322,8 @@ class InternalModel(Module):
             prior = self.prior_z(h)
             z_t = post.sample(noise=rng.standard_normal(post.mean.data.shape))
             a_t = action[:, t]
-            y_t = ad.concat([Tensor(x_features(x_sim[:, t])), h, z_t], axis=-1)
+            y_t = ad.concat([Tensor(x_features(x_sim[:, t]).astype(NET_DTYPE)), h, z_t],
+                            axis=-1)
 
             accumulate("reward_nll", -ad.mean(
                 self.reward_head(ad.concat([y_t, Tensor(a_t)], axis=-1))
@@ -336,7 +340,8 @@ class InternalModel(Module):
             com = ad.mean(ad.sum_(ad.square(x_hat - x_sim[:, t]), axis=-1))
 
             h_next = self.gru(
-                Tensor(np.concatenate([x_features(x_sim[:, t]), z_t.data, a_t], axis=-1)),
+                Tensor(np.concatenate([x_features(x_sim[:, t]), z_t.data, a_t], axis=-1,
+                                      dtype=NET_DTYPE)),
                 h)
             # the prior state prediction conditions on the post-action memory
             _, _, x_hat_next = self.prior_update(
@@ -349,7 +354,7 @@ class InternalModel(Module):
         breakdown = {}
         loss = None
         for key in LOSS_TERMS:
-            term = totals[key]
+            term = ad.astype(totals[key], np.float64)   # summed in float64, like com
             value = float(term.data)
             if not np.isfinite(value):
                 raise TrainingError(f"non-finite model loss term '{key}'")

@@ -2,6 +2,15 @@
 
 Everything is built on the tape in autodiff.py. Initialization draws from an
 explicit numpy Generator so a seed fully determines the parameters.
+
+The dtype rule: the networks (the internal model, the actor and the critic)
+are float32 -- parameters, activations, gradients and Adam moments. The
+kinodynamic state and its integrators, the env, rewards, GAE and the
+planner's arithmetic are float64. A layer draws its initial parameters in
+float64 and a network casts them to NET_DTYPE once, so a seed draws the
+same stream at either width. Each layer casts a constant input (an array,
+or a tensor off the tape) to its own dtype; a network output that enters
+the state is cast to float64 with `ad.astype`.
 """
 
 from __future__ import annotations
@@ -16,6 +25,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ArtifactMismatchError, DimensionError, TrainingError
+
+NET_DTYPE = np.float32
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
@@ -45,6 +56,11 @@ class Module:
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {k: v.data.copy() for k, v in self.named_parameters().items()}
+
+    def cast(self, dtype):
+        """Give every parameter `dtype`."""
+        for p in self.named_parameters().values():
+            p.data = p.data.astype(dtype)
 
     def load_state(self, arrays: dict[str, np.ndarray]):
         """Inverse of state_arrays(); names, shapes and dtypes must match."""
@@ -82,6 +98,7 @@ class Dense(Module):
         self.bias = Tensor(np.zeros(out_size), requires_grad=True)
 
     def forward(self, x) -> Tensor:
+        x = ad.constant_as(x, self.weight.data.dtype)
         return ad.dense(x, self.weight, self.bias, elu=self.elu)
 
 
@@ -121,7 +138,8 @@ class GruCell(Module):
         self.bias = Tensor(np.zeros(3 * hidden_size), requires_grad=True)
 
     def forward(self, x, h) -> Tensor:
-        x, h = ad.as_tensor(x), ad.as_tensor(h)
+        dtype = self.w_x.data.dtype
+        x, h = ad.constant_as(x, dtype), ad.constant_as(h, dtype)
         if x.data.shape[-1] != self.input_size:
             raise DimensionError(
                 f"gru cell expects input size {self.input_size}, got {x.data.shape[-1]}")
@@ -155,6 +173,7 @@ class Conv1d(Module):
         return (length - self.kernel) // self.stride + 1
 
     def forward(self, x) -> Tensor:
+        x = ad.constant_as(x, self.weight.data.dtype)
         return ad.elu(ad.conv1d(x, self.weight, self.bias, self.stride))
 
 
@@ -182,7 +201,7 @@ class DiagonalGaussian:
         return np.exp(self.log_std.data)
 
     def _check(self, value) -> Tensor:
-        value = ad.as_tensor(value)
+        value = ad.constant_as(value, self.mean.data.dtype)
         if value.data.shape[-1] != self.dim:
             raise DimensionError(
                 f"sample length {value.data.shape[-1]} != distribution length {self.dim}")
@@ -207,8 +226,8 @@ class DiagonalGaussian:
         if noise is None:
             if rng is None:
                 raise ValueError("sample() needs an rng or explicit noise")
-            noise = rng.standard_normal(self.mean.data.shape)
-        return self.mean + ad.exp(self.log_std) * np.asarray(noise, dtype=np.float64)
+            noise = rng.standard_normal(self.mean.data.shape)   # float64, then cast
+        return self.mean + ad.exp(self.log_std) * np.asarray(noise, dtype=self.mean.data.dtype)
 
     def entropy(self) -> Tensor:
         return ad.sum_(self.log_std + 0.5 * (_LOG_2PI + 1.0), axis=-1)
@@ -320,12 +339,14 @@ def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
 # deterministic for identical content.
 
 
-_CHECKPOINT_DTYPES = ("<f8", "<i8")   # the dtypes save_checkpoint writes
+_CHECKPOINT_DTYPES = ("<f4", "<f8", "<i8")   # the dtypes save_checkpoint writes
 
 
 def stored_dtype(dtype) -> np.dtype:
-    """The dtype save_checkpoint writes an array of `dtype` as."""
-    return np.dtype(np.int64 if np.dtype(dtype) == np.int64 else np.float64)
+    """The dtype save_checkpoint writes an array of `dtype` as: float32 and
+    int64 as they are, anything else as float64."""
+    dtype = np.dtype(dtype)
+    return dtype if dtype in (np.float32, np.int64) else np.dtype(np.float64)
 
 
 def check_arrays(arrays: dict, expected: dict, what: str):
@@ -372,8 +393,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             raise ArtifactMismatchError(
                 f"checkpoint format version {version}, expected {CHECKPOINT_FORMAT_VERSION}")
         _check_header(header, path)
-        # both accepted dtypes are 8 bytes wide
-        declared = sum(8 * math.prod(entry["shape"]) for entry in header["tensors"])
+        declared = sum(np.dtype(entry["dtype"]).itemsize * math.prod(entry["shape"])
+                       for entry in header["tensors"])
         if declared > os.fstat(f.fileno()).st_size - f.tell():
             raise ArtifactMismatchError(f"truncated checkpoint: {path}")
         arrays = {}

@@ -428,8 +428,9 @@ class ModelPlannerAdapter:
             with ad.no_grad():
                 dist = self.actor(obs, h, rollout_flat)
             means[k], stds[k] = dist.mean.data[0], dist.std[0]
-            x, h, z = self.model.step(x, h, z, np.clip(dist.mean.data, -1.0, 1.0),
-                                      rng=rng, floor_fn=self.floor_fn)
+            if k + 1 < horizon:     # the plan reads no state after its last action
+                x, h, z = self.model.step(x, h, z, np.clip(dist.mean.data, -1.0, 1.0),
+                                          rng=rng, floor_fn=self.floor_fn)
         plan = GaussianActionPlan(means, np.maximum(stds, self.sigma_floor))
         return self.tick_state, plan
 
@@ -441,10 +442,11 @@ class ModelPlannerAdapter:
         x, h, z = batch["x"], batch["h"], batch["z"]
         with ad.no_grad():
             r_mean = self.model.predict_reward(x, h, z, actions).mean.data[:, 0]
+        r_mean = r_mean.astype(np.float64)      # the planner's arithmetic is float64
         x, h, z = self.model.step(x, h, z, actions, rng=rng, floor_fn=self.floor_fn)
         return {"x": x, "h": h, "z": z}, r_mean, x
 
     def value_mean(self, batch: dict) -> np.ndarray:
         with ad.no_grad():
-            return self.model.predict_value(batch["x"], batch["h"],
-                                            batch["z"]).mean.data[:, 0]
+            value = self.model.predict_value(batch["x"], batch["h"], batch["z"])
+        return value.mean.data[:, 0].astype(np.float64)

@@ -3,7 +3,8 @@
 Both consume the observation plus stop-gradient copies of the recurrent
 memory h and the flattened imagined rollout; the critic additionally sees
 privileged simulator information. Actions live in the normalized box
-[-1, 1]^m; the environment maps them onto physical wrench bounds.
+[-1, 1]^m; the environment maps them onto physical wrench bounds. Each
+network casts its inputs to NET_DTYPE as it concatenates them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DimensionError
-from .nn import LOG_STD_MAX, LOG_STD_MIN, MLP, DiagonalGaussian, Module
+from .nn import LOG_STD_MAX, LOG_STD_MIN, MLP, NET_DTYPE, DiagonalGaussian, Module
 from .state import X_DIM
 
 
@@ -30,18 +31,18 @@ class Actor(Module):
         in_dim = obs_dim + d_h + self.rollout_dim
         self.trunk = MLP([in_dim, *hidden, action_dim], rng)
         self.log_std = Tensor(np.full(action_dim, init_log_std), requires_grad=True)
+        self.cast(NET_DTYPE)
 
     def forward(self, obs, h, rollout_flat) -> DiagonalGaussian:
-        obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
-        h = np.atleast_2d(np.asarray(h, dtype=np.float64))
-        rollout_flat = np.atleast_2d(np.asarray(rollout_flat, dtype=np.float64))
+        obs, h, rollout_flat = np.atleast_2d(obs, h, rollout_flat)
         if obs.shape[-1] != self.obs_dim or h.shape[-1] != self.d_h \
                 or rollout_flat.shape[-1] != self.rollout_dim:
             raise DimensionError(
                 f"actor inputs ({obs.shape[-1]}, {h.shape[-1]}, {rollout_flat.shape[-1]}) "
                 f"!= expected ({self.obs_dim}, {self.d_h}, {self.rollout_dim})")
-        mean = self.trunk(Tensor(np.concatenate([obs, h, rollout_flat], axis=-1)))
-        log_std = Tensor(np.ones((obs.shape[0], 1))) * ad.clip(
+        mean = self.trunk(Tensor(np.concatenate([obs, h, rollout_flat], axis=-1,
+                                                dtype=NET_DTYPE)))
+        log_std = Tensor(np.ones((obs.shape[0], 1), dtype=NET_DTYPE)) * ad.clip(
             self.log_std, LOG_STD_MIN, LOG_STD_MAX)
         return DiagonalGaussian(mean, log_std)
 
@@ -53,13 +54,13 @@ class Critic(Module):
         self.d_h = d_h
         self.rollout_dim = horizon * X_DIM
         self.trunk = MLP([priv_dim + d_h + self.rollout_dim, *hidden, 1], rng)
+        self.cast(NET_DTYPE)
 
     def forward(self, priv, h, rollout_flat):
-        priv = np.atleast_2d(np.asarray(priv, dtype=np.float64))
-        h = np.atleast_2d(np.asarray(h, dtype=np.float64))
-        rollout_flat = np.atleast_2d(np.asarray(rollout_flat, dtype=np.float64))
+        priv, h, rollout_flat = np.atleast_2d(priv, h, rollout_flat)
         if priv.shape[-1] != self.priv_dim:
             raise DimensionError(
                 f"critic privileged input {priv.shape[-1]} != expected {self.priv_dim}")
-        out = self.trunk(Tensor(np.concatenate([priv, h, rollout_flat], axis=-1)))
+        out = self.trunk(Tensor(np.concatenate([priv, h, rollout_flat], axis=-1,
+                                               dtype=NET_DTYPE)))
         return out[:, 0]

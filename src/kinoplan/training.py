@@ -27,7 +27,8 @@ from .config import ExperimentConfig
 from .env import EnvBatch, curriculum_advance
 from .errors import ArtifactMismatchError, DataError, TrainingError
 from .model import InternalModel, LOSS_TERMS
-from .nn import Adam, check_arrays, clip_grad_norm, load_checkpoint, save_checkpoint
+from .nn import (NET_DTYPE, Adam, check_arrays, clip_grad_norm, load_checkpoint,
+                 save_checkpoint)
 from .policy import Actor, Critic
 from .state import IDX_PX, X_DIM
 
@@ -192,17 +193,19 @@ class Collector:
     """Per-environment model state for the two-rate loop, and each env's
     episode so far: env i's records are rows 0 .. length[i] - 1 of the
     (B, max_records, ...) arrays in `episode`, one per record field.
-    The last row is the open window, its reward summed as the window runs."""
+    The last row is the open window, its reward summed as the window runs.
+    The state x is float64; h, z and the rollout feed only the networks and
+    are NET_DTYPE."""
 
     ARRAYS = ("x", "h", "z", "h_cur", "rollout_cur", "length")
 
     def __init__(self, num_envs: int, d_h: int, d_z: int, horizon: int,
                  replay: SequenceReplay, max_records: int):
         self.x = np.zeros((num_envs, X_DIM))
-        self.h = np.zeros((num_envs, d_h))
-        self.z = np.zeros((num_envs, d_z))
-        self.h_cur = np.zeros((num_envs, d_h))
-        self.rollout_cur = np.zeros((num_envs, horizon * X_DIM))
+        self.h = np.zeros((num_envs, d_h), dtype=NET_DTYPE)
+        self.z = np.zeros((num_envs, d_z), dtype=NET_DTYPE)
+        self.h_cur = np.zeros((num_envs, d_h), dtype=NET_DTYPE)
+        self.rollout_cur = np.zeros((num_envs, horizon * X_DIM), dtype=NET_DTYPE)
         self.length = np.zeros(num_envs, dtype=np.int64)
         staged = np.zeros((num_envs, max_records), replay.record)
         self.episode = {f: staged[f] for f in replay.record.names}
@@ -242,14 +245,16 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
     Returns (batch: RolloutBatch, obs, priv, episode_infos, tick_count).
     """
     B = envs.num_envs
-    # PPO rows go straight into (T, B, ...) arrays; values gets the bootstrap
-    # row T, and each step's B critic values are computed as it is collected
+    # PPO rows go straight into (T, B, ...) arrays, the networks' inputs and
+    # outputs in NET_DTYPE; values gets the bootstrap row T, and each step's
+    # B critic values are computed as it is collected
     values = np.empty((steps + 1, B))
+    net = partial(np.empty, dtype=NET_DTYPE)
     batch = RolloutBatch(
-        obs=np.empty((steps, *obs.shape)), priv=np.empty((steps, *priv.shape)),
-        h=np.empty((steps, *collector.h_cur.shape)),
-        rollout=np.empty((steps, *collector.rollout_cur.shape)),
-        actions=np.empty((steps, B, actor.action_dim)), log_probs=np.empty((steps, B)),
+        obs=net((steps, *obs.shape)), priv=net((steps, *priv.shape)),
+        h=net((steps, *collector.h_cur.shape)),
+        rollout=net((steps, *collector.rollout_cur.shape)),
+        actions=net((steps, B, actor.action_dim)), log_probs=net((steps, B)),
         rewards=np.empty((steps, B)), dones=np.empty((steps, B)))
     staged = collector.episode
     # step t of each staged record opened in this call, -1 for the others
@@ -342,7 +347,8 @@ def ppo_update(batch: RolloutBatch, actor: Actor, critic: Critic, optimizer: Ada
                clip_ratio: float = 0.2, entropy_coef: float = 0.005,
                grad_clip: float = 1.0) -> dict:
     """Clipped-surrogate PPO over the flattened batch, advantages normalized;
-    the internal model is untouched by construction (h/rollout enter as constants)."""
+    the internal model is untouched by construction (h/rollout enter as constants).
+    The GAE targets enter the loss in NET_DTYPE."""
     T, B = batch.rewards.shape
     n = T * B
     obs = batch.obs.reshape(n, -1)
@@ -350,10 +356,10 @@ def ppo_update(batch: RolloutBatch, actor: Actor, critic: Critic, optimizer: Ada
     h = batch.h.reshape(n, -1)
     roll = batch.rollout.reshape(n, -1)
     actions = batch.actions.reshape(n, -1)
-    logp_old = batch.log_probs.reshape(n)
+    logp_old = batch.log_probs.reshape(n).astype(NET_DTYPE, copy=False)
     adv = batch.advantages.reshape(n)
-    returns = batch.returns.reshape(n)
-    adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+    adv = ((adv - adv.mean()) / (adv.std() + 1e-8)).astype(NET_DTYPE)
+    returns = batch.returns.reshape(n).astype(NET_DTYPE)
 
     def minibatch_step(mb) -> dict:
         """One optimizer step on rows `mb`. Only floats leave it, so its tape

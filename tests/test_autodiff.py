@@ -322,3 +322,81 @@ def test_add_and_mul_skip_constant_operand_gradient(rng):
         gc, gx = op(c, x)._backward(g)
         assert gc is None
         assert gx.tobytes() == ref.tobytes()
+
+
+# -- dtypes -------------------------------------------------------------------------
+
+F32 = np.float32
+
+
+def test_ops_keep_float32_and_python_scalars_do_not_widen(rng):
+    x = Tensor(rng.normal(size=(4, 3)).astype(F32), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 2)).astype(F32), requires_grad=True)
+    b = Tensor(np.zeros(2, F32), requires_grad=True)
+    y = ad.sigmoid(0.5 * ad.dense(x, w, b, elu=True) - 1.0)
+    y = ad.mean(ad.square(1.0 - y) + ad.exp(-y) * 2)
+    assert y.data.dtype == F32
+    y.backward()
+    for t in (x, w, b):
+        assert t.grad.dtype == F32
+
+
+def test_backward_casts_each_gradient_to_its_tensors_dtype(rng):
+    """A float64 tape tensor may widen a float32 one; each gradient still
+    arrives in its own tensor's dtype, with the float64 value rounded."""
+    a = Tensor(rng.normal(size=3).astype(F32), requires_grad=True)
+    c = Tensor(rng.normal(size=3), requires_grad=True)
+    y = ad.sum_(a * c)
+    assert y.data.dtype == np.float64
+    y.backward()
+    assert a.grad.dtype == F32 and c.grad.dtype == np.float64
+    assert a.grad.tobytes() == c.data.astype(F32).tobytes()
+
+
+def test_astype_round_trips_the_gradient(rng):
+    a = Tensor(rng.normal(size=(2, 3)).astype(F32), requires_grad=True)
+    wide = ad.astype(a, np.float64)
+    assert wide.data.dtype == np.float64 and ad.astype(wide, np.float64) is wide
+    ad.sum_(ad.square(wide)).backward()
+    assert a.grad.dtype == F32
+    assert a.grad.tobytes() == (2.0 * a.data.astype(np.float64)).astype(F32).tobytes()
+
+
+@pytest.mark.parametrize("op", ["dense", "matmul"])
+def test_dense_and_matmul_refuse_a_float64_constant_in_a_float32_layer(op, rng):
+    x = rng.normal(size=(4, 3))                       # float64, never cast
+    w32 = rng.normal(size=(3, 2)).astype(F32)
+    call = {"dense": lambda x, w: ad.dense(x, w, Tensor(np.zeros(2, w.data.dtype))),
+            "matmul": ad.matmul}[op]
+    with pytest.raises(DimensionError, match="dtype"):
+        call(Tensor(x), Tensor(w32))                  # off the tape
+    with pytest.raises(DimensionError, match="widened"):
+        call(Tensor(x), Tensor(w32, requires_grad=True))
+    with ad.no_grad():
+        with pytest.raises(DimensionError, match="dtype"):
+            call(Tensor(x), Tensor(w32, requires_grad=True))
+    assert call(Tensor(x.astype(F32)), Tensor(w32, requires_grad=True)).data.dtype == F32
+
+
+def test_float64_noise_on_a_float32_tape_is_refused(rng):
+    """The leak the rule exists for: a float64 draw multiplied into a
+    float32 tensor on the tape."""
+    log_std = Tensor(np.zeros(3, F32), requires_grad=True)
+    with pytest.raises(DimensionError, match="widened"):
+        ad.exp(log_std) * rng.standard_normal(3)
+    with pytest.raises(DimensionError, match="widened"):
+        ad.exp(log_std) * np.float64(0.5)             # a numpy scalar is not weak
+    assert (ad.exp(log_std) * rng.standard_normal(3).astype(F32)).data.dtype == F32
+
+
+def test_sigmoid_and_exp_stay_finite_at_float32_extremes():
+    x = Tensor(np.array([-1e4, -300.0, -100.0, 0.0, 100.0, 300.0, 1e4], F32),
+               requires_grad=True)
+    y = ad.sigmoid(x)
+    ad.sum_(y).backward()
+    assert y.data.dtype == F32 and np.isfinite(y.data).all() and np.isfinite(x.grad).all()
+    assert y.data[0] == 0.0 and y.data[-1] == 1.0
+    # exp of a log-std clamped to [-5, 2], as the heads and the actor clamp it
+    log_std = ad.clip(Tensor(np.array([-1e4, 1e4], F32), requires_grad=True), -5.0, 2.0)
+    for e in (ad.exp(log_std), ad.exp(-log_std), ad.exp(2.0 * (log_std - log_std[::-1]))):
+        assert e.data.dtype == F32 and np.isfinite(e.data).all()

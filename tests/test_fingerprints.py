@@ -19,10 +19,10 @@ from smoke import smoke_config
 # seed: (model, actor, critic checksum prefixes), (planner return, steps),
 # (policy return, steps)
 FINGERPRINTS = {
-    0: (("8f54df15a5e0", "541f03bfcb13", "2fdce900d940"),
-        (23.8004193712829, 20), (279.067342275041, 223)),
-    7: (("115e36447365", "8900cad82ebd", "0bb62a2aaca2"),
-        (26.187178882450453, 19), (15.333445404948765, 13)),
+    0: (("2d9a73240268", "86d388ef7273", "e26ff3fe792b"),
+        (-0.1270201865795264, 42), (272.64239318737856, 216)),
+    7: (("c039331cd51f", "96a3cae5c8f0", "d0c5846163cc"),
+        (22.656105328639928, 18), (15.33055990820513, 13)),
 }
 
 

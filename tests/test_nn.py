@@ -411,3 +411,65 @@ def test_conv_layer_out_length(rng):
 def test_mlp_requires_two_sizes(rng):
     with pytest.raises(ValueError):
         MLP([4], rng)
+
+
+# -- float32 networks ----------------------------------------------------------------
+
+def test_checkpoint_stores_float32_as_float32(tmp_path, rng):
+    net = _Net(rng)
+    net.cast(np.float32)
+    path = tmp_path / "net.kpt"
+    save_checkpoint(path, {**net.state_arrays(), "step": np.array([3])}, meta={})
+    header = json.loads(path.read_bytes().partition(b"\n")[0])
+    assert {e["dtype"] for e in header["tensors"]} == {"<f4", "<i8"}
+    loaded, _ = load_checkpoint(path)
+    net2 = _Net(np.random.default_rng(999))
+    net2.cast(np.float32)
+    net2.load_state({k: v for k, v in loaded.items() if k != "step"})
+    assert param_checksum(net2) == param_checksum(net)
+
+
+def test_float64_parameters_do_not_load_into_a_float32_network(tmp_path, rng):
+    path = tmp_path / "wide.kpt"
+    save_checkpoint(path, _Net(rng).state_arrays(), meta={})
+    net = _Net(rng)
+    net.cast(np.float32)
+    with pytest.raises(ArtifactMismatchError, match="float64"):
+        net.load_state(load_checkpoint(path)[0])
+
+
+def test_float32_layer_casts_constant_inputs_and_keeps_tape_inputs(rng):
+    layer = Dense(3, 2, "elu", rng)
+    layer.cast(np.float32)
+    x = rng.normal(size=(4, 3))
+    assert layer(x).data.dtype == np.float32
+    assert layer(x).data.tobytes() == layer(x.astype(np.float32)).data.tobytes()
+    # a float64 tensor on the tape keeps float64, so a gradient check runs in float64
+    xt = Tensor(x, requires_grad=True)
+    assert layer(xt).data.dtype == np.float64
+
+
+def test_sample_draws_float64_noise_and_casts_it(rng):
+    mean = Tensor(np.zeros((2, 3), np.float32))
+    dist = DiagonalGaussian(mean, Tensor(np.full((2, 3), -1.0, np.float32)))
+    z = dist.sample(np.random.default_rng(3))
+    noise = np.random.default_rng(3).standard_normal((2, 3)).astype(np.float32)
+    assert z.data.dtype == np.float32
+    assert z.data.tobytes() == (np.exp(np.float32(-1.0)) * noise).tobytes()
+
+
+@pytest.mark.parametrize("log_std", [LOG_STD_MIN, LOG_STD_MAX])
+def test_log_prob_and_kl_finite_at_float32_extremes(log_std):
+    """Means and values of magnitude 100 and more, log-stds at either clamp:
+    the float32 heads' log-likelihood and KL stay finite."""
+    big = np.array([[-1e3, -100.0, 0.0, 100.0, 1e3]], np.float32)
+    p = DiagonalGaussian(Tensor(big, requires_grad=True),
+                         Tensor(np.full_like(big, log_std), requires_grad=True))
+    q = DiagonalGaussian(Tensor(-big), Tensor(np.full_like(big, LOG_STD_MIN + LOG_STD_MAX
+                                                             - log_std)))
+    lp = p.log_prob(-big)
+    kl = p.kl(q)
+    for t in (lp, kl):
+        assert t.data.dtype == np.float32 and np.isfinite(t.data).all()
+    ad.sum_(lp + kl).backward()
+    assert np.isfinite(p.mean.grad).all() and np.isfinite(p.log_std.grad).all()
