@@ -15,6 +15,7 @@ from .env import EnvConfig
 from .errors import ConfigError
 from .model import ModelConfig
 from .planner import ConstraintSet, PlannerConfig
+from .terrain import MAX_LEVEL, TERRAIN_KINDS
 
 CONFIG_SCHEMA_VERSION = 2
 
@@ -120,7 +121,22 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         self.train.validate()
         self.planner.validate()
-        if self.env.scan_every != int(round(self.model.dt_model / self.env.dt)):
+        env = self.env
+        if not env.dt > 0.0:
+            raise ConfigError("env.dt", "must be positive")
+        if env.terrain_kind not in TERRAIN_KINDS:
+            raise ConfigError("env.terrain_kind", f"must be one of {TERRAIN_KINDS}")
+        if not 0 <= env.terrain_level <= MAX_LEVEL:
+            raise ConfigError("env.terrain_level", f"must lie in 0..{MAX_LEVEL}")
+        if not all(lo < hi for lo, hi in zip(env.action_low, env.action_high)):
+            raise ConfigError("env.action_low", "must lie below action_high")
+        if env.max_steps < 1:
+            raise ConfigError("env.max_steps", "must be >= 1")
+        for name in ("d_h", "d_z", "d_e", "imagination_horizon", "embed_hidden",
+                     "head_hidden", "decoder_hidden"):
+            if getattr(self.model, name) < 1:
+                raise ConfigError(f"model.{name}", "must be >= 1")
+        if env.scan_every != int(round(self.model.dt_model / env.dt)):
             raise ConfigError(
                 "model.dt_model", "model timestep must equal env.dt * env.scan_every "
                 "(the two-rate contract)")

@@ -31,9 +31,7 @@ and the env's terrain as arrays, each padded to the batch's common width:
     fall_z
 
 Padding changes no floor or ceiling lookup, edge test or ray hit. One call of
-`step_state` advances every env of an `EnvState`; `PlanarEnv` and `EnvBatch`
-differ only in how they report the step, and in that a batch resets its done
-envs.
+`step_state` advances every env of an `EnvState`.
 
 `reset` and `step` return flat observations:
 
@@ -41,6 +39,18 @@ envs.
             depth scan (SCAN_RAYS)]
     priv = [obs, scan dots (SCAN_DOT_COUNT floor heights relative to p_z),
             v_x, v_z, pitch_rate, contact force, mass, friction]
+
+Step report. `PlanarEnv.step` returns (obs, priv, out), `EnvBatch.step`
+(obs, priv, out, terminal). `out` is the `StepOutcome` of `step_state`, arrays
+over the state's leading shape: the `reward` and its per-term contributions
+`terms` (all 0 on a fault), `code` (an index into TERMINATIONS, 0 while the
+episode goes on), `fault` (a non-finite state), `success` (goal_x reached)
+and `events` (the flags stumble, landed, edge, stuck and collision, and
+air_time, the seconds aloft rewarded on landing). An episode's return and
+step count are its state's. The two envs differ only in that a batch resets
+its done envs, so its `terminal` holds theirs, as arrays over the ended envs
+in ascending order: episode_return, episode_steps, x (the terminal state)
+and floor (the floor height under x).
 """
 
 from __future__ import annotations
@@ -296,15 +306,12 @@ def _proprio_row(cfg: EnvConfig, x, height_rate, action, v_cmd) -> np.ndarray:
     return np.concatenate([head, cfg.to_normalized(action)], axis=-1)
 
 
-def _reset_state(cfg: EnvConfig, rng: np.random.Generator, level: int | None = None,
-                 terrain: TerrainProfile | None = None
+def _reset_state(cfg: EnvConfig, rng: np.random.Generator, level: int | None = None
                  ) -> tuple[TerrainProfile, EnvState]:
     """A new episode of one env, its draws from `rng`: (terrain, state)."""
     episode_rng = np.random.default_rng(rng.integers(0, 2**63 - 1))
-    if terrain is None:
-        terrain = build_terrain(cfg.terrain_kind,
-                                cfg.terrain_level if level is None else level,
-                                episode_rng, jitter=cfg.terrain_jitter)
+    terrain = build_terrain(cfg.terrain_kind, cfg.terrain_level if level is None else level,
+                            episode_rng, jitter=cfg.terrain_jitter)
     x = np.zeros(X_DIM)
     x[IDX_PX] = cfg.start_x
     x[IDX_PZ] = float(terrain.floor_height(cfg.start_x)) + cfg.body.leg_length
@@ -330,8 +337,7 @@ def _reset_state(cfg: EnvConfig, rng: np.random.Generator, level: int | None = N
 # -- stepping ------------------------------------------------------------------------
 
 class StepOutcome(NamedTuple):
-    """What `step_state` reports per env, over the state's leading shape;
-    `events` holds the flags (and "air_time") an env's info reports."""
+    """What `step_state` reports per env; fields in the module docstring."""
 
     reward: np.ndarray
     terms: dict
@@ -339,6 +345,15 @@ class StepOutcome(NamedTuple):
     fault: np.ndarray
     success: np.ndarray
     events: dict
+
+
+class Terminal(NamedTuple):
+    """The envs a batch step ended, as arrays over them before their reset."""
+
+    episode_return: np.ndarray
+    episode_steps: np.ndarray
+    x: np.ndarray
+    floor: np.ndarray
 
 
 def step_state(cfg: EnvConfig, s: EnvState, action) -> StepOutcome:
@@ -415,6 +430,7 @@ def step_state(cfg: EnvConfig, s: EnvState, action) -> StepOutcome:
         ok = ~fault
         code = select(fault, _FAULT, code)
         reward = select(fault, 0.0, reward)
+        terms = {k: select(ok, v, 0.0) for k, v in terms.items()}
         success = success & ok
         refresh = refresh & ok
         events = {k: select(ok, v, False) for k, v in events.items()}
@@ -426,21 +442,6 @@ def step_state(cfg: EnvConfig, s: EnvState, action) -> StepOutcome:
         s.scan[refresh] = render_depth_scan(x2[refresh], s.segments[refresh],
                                             SCAN_RAYS, SCAN_MAX_RANGE)
     return StepOutcome(reward, terms, code, fault, success, events)
-
-
-def _infos(out: StepOutcome, s: EnvState) -> list[dict]:
-    """The per-env info dicts of a step, after `s` was advanced."""
-    # one array, one row per env: every value is exact in float64
-    rows = np.array([out.code, out.success, out.fault, s.episode_return, s.step_count,
-                     *out.events.values()], dtype=np.float64)
-    infos = []
-    for code, success, fault, ret, steps, *flags in rows.reshape(len(rows), -1).T.tolist():
-        infos.append({"events": {k: f if k == "air_time" else True
-                                 for k, f in zip(out.events, flags) if f},
-                      "termination": TERMINATIONS[int(code)], "success": success == 1.0,
-                      "fault": fault == 1.0, "episode_return": ret,
-                      "episode_steps": int(steps)})
-    return infos
 
 
 def observe(cfg: EnvConfig, s: EnvState) -> tuple[np.ndarray, np.ndarray]:
@@ -470,24 +471,15 @@ class PlanarEnv:
         self.terrain: TerrainProfile | None = None
         self.state: EnvState | None = None
 
-    def reset(self, level: int | None = None, terrain: TerrainProfile | None = None
-              ) -> tuple[np.ndarray, np.ndarray]:
-        self.terrain, self.state = _reset_state(self.cfg, self.rng, level, terrain)
-        return self._observe()
+    def reset(self, level: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        self.terrain, self.state = _reset_state(self.cfg, self.rng, level)
+        return observe(self.cfg, self.state)
 
     def step(self, action: np.ndarray):
-        """Advance one 50 Hz step under a physical wrench action.
-
-        Returns (obs, priv_obs, reward, reward_terms, done, info); info carries
-        the event flags, termination reason, and success flag.
-        """
+        """Advance one 50 Hz step under a physical wrench action; returns
+        (obs, priv, out), the step report of the module docstring."""
         out = step_state(self.cfg, self.state, action)
-        info = _infos(out, self.state)[0]
-        return (*self._observe(), float(out.reward), {} if out.fault else out.terms,
-                bool(out.code), info)
-
-    def _observe(self) -> tuple[np.ndarray, np.ndarray]:
-        return observe(self.cfg, self.state)
+        return (*observe(self.cfg, self.state), out)
 
 
 def env_seeds(seed: int, num_envs: int) -> list[int]:
@@ -518,20 +510,18 @@ class EnvBatch:
         return observe(self.cfg, self.state)
 
     def step(self, actions: np.ndarray):
-        """Step all envs; done envs auto-reset (returned obs is the new episode's).
-
-        Returns (obs, priv, rewards, dones, infos) with infos the per-env dicts;
-        a done env's info carries its terminal summary.
-        """
+        """Step all envs; done envs auto-reset (returned obs is the new
+        episode's). Returns (obs, priv, out, terminal), the step report of
+        the module docstring."""
         s = self.state
         out = step_state(self.cfg, s, actions)
-        infos = _infos(out, s)
-        dones = out.code != 0
-        for i in np.flatnonzero(dones):
-            infos[i]["terminal_x"] = s.x[i].copy()
-            infos[i]["terminal_floor"] = float(self.floor_height(s.x[i, IDX_PX], i))
+        ended = np.flatnonzero(out.code)
+        x = s.x[ended]
+        terminal = Terminal(s.episode_return[ended], s.step_count[ended], x,
+                            self.floor_height(x[:, IDX_PX], ended))
+        for i in ended:
             s.put(i, _reset_state(self.cfg, self.rngs[i], self.level)[1])
-        return (*observe(self.cfg, s), out.reward, dones, infos)
+        return (*observe(self.cfg, s), out, terminal)
 
     def floor_height(self, s, rows=slice(None)):
         """Floor heights at positions `s` of the envs `rows` (all by default),

@@ -14,7 +14,7 @@ import numpy as np
 
 from .autodiff import no_grad
 from .config import ExperimentConfig
-from .env import PlanarEnv
+from .env import TERMINATIONS, PlanarEnv, StepOutcome
 from .errors import ArtifactMismatchError, ConfigError
 from .model import InternalModel
 from .nn import load_checkpoint
@@ -55,6 +55,12 @@ class EpisodeOutcome:
     traces: list | None = None
 
 
+def _outcome(env: PlanarEnv, out: StepOutcome, **kw) -> EpisodeOutcome:
+    """The outcome of the episode that `env` ended with the step report `out`."""
+    return EpisodeOutcome(float(env.state.episode_return), bool(out.success),
+                          int(env.state.step_count), TERMINATIONS[int(out.code)], **kw)
+
+
 def run_policy_episode(env: PlanarEnv, model: InternalModel, actor: Actor,
                        config: ExperimentConfig, level: int,
                        rng: np.random.Generator) -> EpisodeOutcome:
@@ -64,18 +70,16 @@ def run_policy_episode(env: PlanarEnv, model: InternalModel, actor: Actor,
     h = np.zeros((1, config.model.d_h))
     z = np.zeros((1, config.model.d_z))
     phase = 0
-    done = False
-    info = {}
-    while not done:
+    while True:
         if phase % config.steps_per_tick == 0:
             x, h, z, rollout_flat = model.tick(obs[None], x, h, z,
                                                floor_fn=env.terrain.floor_height)
         with no_grad():
             a = actor(obs[None], h, rollout_flat).mean.data[0]
-        obs, _, _, _, done, info = env.step(env.cfg.to_physical(np.clip(a, -1.0, 1.0)))
+        obs, _, out = env.step(env.cfg.to_physical(np.clip(a, -1.0, 1.0)))
         phase += 1
-    return EpisodeOutcome(info["episode_return"], info["success"],
-                          info["episode_steps"], info["termination"])
+        if out.code:
+            return _outcome(env, out)
 
 
 def run_planner_episode(env: PlanarEnv, model: InternalModel, actor: Actor,
@@ -88,13 +92,11 @@ def run_planner_episode(env: PlanarEnv, model: InternalModel, actor: Actor,
                                   floor_fn=env.terrain.floor_height)
     y_prev = ModelState(env.state.x.copy(), np.zeros(config.model.d_h),
                         np.zeros(config.model.d_z))
-    done = False
-    info = {}
     violations = 0
     infeasible = 0
     traces = [] if keep_traces else None
     call_index = 0
-    while not done:
+    while True:
         adapter.begin_tick(obs)
         a0, plan_prev, trace = mppi_plan(
             None if call_index == 0 else plan_prev, y_prev, adapter, config.planner,
@@ -108,27 +110,20 @@ def run_planner_episode(env: PlanarEnv, model: InternalModel, actor: Actor,
             traces.append(trace)
         phys = env.cfg.to_physical(np.clip(a0, -1.0, 1.0))
         for _ in range(config.steps_per_tick):
-            obs, _, _, _, done, info = env.step(phys)
-            if done:
-                break
+            obs, _, out = env.step(phys)
+            if out.code:
+                return _outcome(env, out, violation_count=violations,
+                                infeasible_events=infeasible, traces=traces)
         call_index += 1
-    return EpisodeOutcome(info["episode_return"], info["success"],
-                          info["episode_steps"], info["termination"],
-                          violation_count=violations, infeasible_events=infeasible,
-                          traces=traces)
 
 
-def run_episode(mode: str, env, model, actor, config, level, rng,
-                keep_traces: bool = False) -> EpisodeOutcome:
+def _run_episode(mode: str, env, model, actor, config, level, rng,
+                 keep_traces: bool = False) -> EpisodeOutcome:
+    """One episode in `mode`, one of EVAL_MODES (`evaluate` checks them)."""
     if mode == "policy_only":
         return run_policy_episode(env, model, actor, config, level, rng)
-    if mode == "planner":
-        return run_planner_episode(env, model, actor, config, level, rng,
-                                   bootstrap=True, keep_traces=keep_traces)
-    if mode == "planner_no_bootstrap":
-        return run_planner_episode(env, model, actor, config, level, rng,
-                                   bootstrap=False, keep_traces=keep_traces)
-    raise ConfigError("mode", f"unknown mode '{mode}' (choose from {EVAL_MODES})")
+    return run_planner_episode(env, model, actor, config, level, rng,
+                               bootstrap=mode == "planner", keep_traces=keep_traces)
 
 
 def evaluate(checkpoint: str, terrains: list[str], levels: list[int],
@@ -146,7 +141,7 @@ def evaluate(checkpoint: str, terrains: list[str], levels: list[int],
     config, model, actor, _ = load_agent(checkpoint)
     for mode in modes:
         if mode not in EVAL_MODES:
-            raise ConfigError("mode", f"unknown mode '{mode}'")
+            raise ConfigError("mode", f"unknown mode '{mode}' (choose from {EVAL_MODES})")
 
     rows = []
     trace_sink = []
@@ -166,8 +161,8 @@ def evaluate(checkpoint: str, terrains: list[str], levels: list[int],
                     env = PlanarEnv(env_cfg, seed=seed)
                     rets, succ = [], []
                     for ep in range(episodes):
-                        out = run_episode(mode, env, model, actor, config, level,
-                                          rng, keep_traces=bool(out_dir))
+                        out = _run_episode(mode, env, model, actor, config, level,
+                                           rng, keep_traces=bool(out_dir))
                         rets.append(out.episode_return)
                         succ.append(out.success)
                         violation_total += out.violation_count

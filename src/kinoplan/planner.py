@@ -65,9 +65,8 @@ class PlannerConfig:
     def validate(self):
         if self.horizon < 1:
             raise ConfigError("planner.horizon", "must be >= 1")
-        for name in ("iterations",):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"planner.{name}", "must be >= 0")
+        if self.iterations < 0:
+            raise ConfigError("planner.iterations", "must be >= 0")
         for name in ("samples", "policy_samples", "elites"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"planner.{name}", "must be >= 1")
@@ -82,6 +81,8 @@ class PlannerConfig:
             raise ConfigError("planner.gamma", "must lie in [0, 1)")
         if self.sigma_floor <= 0:
             raise ConfigError("planner.sigma_floor", "must be positive")
+        if not self.penalty_weight >= 0.0:
+            raise ConfigError("planner.penalty_weight", "must be >= 0")
         return self
 
 

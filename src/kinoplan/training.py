@@ -33,8 +33,8 @@ from .policy import Actor, Critic
 from .state import IDX_PX, X_DIM
 
 METRICS_SCHEMA_VERSION = 2
-# "-3": replay and collector are written as fixed sets of arrays
-RESUME_KIND = "kinoplan-resume-3"
+# "-4": the actor reads the collector's memory h; no second copy is kept
+RESUME_KIND = "kinoplan-resume-4"
 
 
 @dataclass
@@ -197,14 +197,13 @@ class Collector:
     The state x is float64; h, z and the rollout feed only the networks and
     are NET_DTYPE."""
 
-    ARRAYS = ("x", "h", "z", "h_cur", "rollout_cur", "length")
+    ARRAYS = ("x", "h", "z", "rollout_cur", "length")
 
     def __init__(self, num_envs: int, d_h: int, d_z: int, horizon: int,
                  replay: SequenceReplay, max_records: int):
         self.x = np.zeros((num_envs, X_DIM))
         self.h = np.zeros((num_envs, d_h), dtype=NET_DTYPE)
         self.z = np.zeros((num_envs, d_z), dtype=NET_DTYPE)
-        self.h_cur = np.zeros((num_envs, d_h), dtype=NET_DTYPE)
         self.rollout_cur = np.zeros((num_envs, horizon * X_DIM), dtype=NET_DTYPE)
         self.length = np.zeros(num_envs, dtype=np.int64)
         staged = np.zeros((num_envs, max_records), replay.record)
@@ -242,7 +241,8 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
     returns[t, i]; an episode goes to replay after the GAE of the call that
     ends it.
 
-    Returns (batch: RolloutBatch, obs, priv, episode_infos, tick_count).
+    Returns (batch: RolloutBatch, obs, priv, success, episode_return), the
+    last two arrays over the episodes this call ended, in the order they ended.
     """
     B = envs.num_envs
     # PPO rows go straight into (T, B, ...) arrays, the networks' inputs and
@@ -252,7 +252,7 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
     net = partial(np.empty, dtype=NET_DTYPE)
     batch = RolloutBatch(
         obs=net((steps, *obs.shape)), priv=net((steps, *priv.shape)),
-        h=net((steps, *collector.h_cur.shape)),
+        h=net((steps, *collector.h.shape)),
         rollout=net((steps, *collector.rollout_cur.shape)),
         actions=net((steps, B, actor.action_dim)), log_probs=net((steps, B)),
         rewards=np.empty((steps, B)), dones=np.empty((steps, B)))
@@ -260,14 +260,12 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
     # step t of each staged record opened in this call, -1 for the others
     tick_step = np.full(staged["reward"].shape, -1)
     closed = []               # (env, tick_step rows, episode) of episodes ended here
-    episode_infos = []
-    tick_count = 0
+    success, episode_return = [], []
 
     for t in range(steps):
         tick_ids = np.flatnonzero(envs.state.step_count % steps_per_tick == 0)
         rows = collector.length[tick_ids]
         if tick_ids.size:
-            tick_count += tick_ids.size
             x_tick = envs.state.x[tick_ids]
             # the open record's window ends here and a new one opens
             staged["obs"][tick_ids, rows] = obs[tick_ids]
@@ -285,14 +283,13 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
             collector.x[tick_ids] = x1
             collector.h[tick_ids] = h1
             collector.z[tick_ids] = z1
-            collector.h_cur[tick_ids] = h1
             collector.rollout_cur[tick_ids] = rollout_flat
 
         with no_grad():
-            dist = actor(obs, collector.h_cur, collector.rollout_cur)
+            dist = actor(obs, collector.h, collector.rollout_cur)
             actions = dist.sample(rng=rng).data
             log_probs = dist.log_prob(actions).data
-            values[t] = critic(priv, collector.h_cur, collector.rollout_cur).data
+            values[t] = critic(priv, collector.h, collector.rollout_cur).data
         # PPO rows keep the raw sample that log_probs scores; the env and the
         # replay records get the executed action, clipped to the box
         executed = np.clip(actions, -1.0, 1.0)
@@ -300,24 +297,25 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
 
         batch.obs[t] = obs
         batch.priv[t] = priv
-        batch.h[t] = collector.h_cur
+        batch.h[t] = collector.h
         batch.rollout[t] = collector.rollout_cur
         batch.actions[t] = actions
         batch.log_probs[t] = log_probs
 
         phys = envs.cfg.to_physical(executed)
-        obs, priv, rewards, dones, infos = envs.step(phys)
-        staged["reward"][np.arange(B), collector.length - 1] += rewards
-        batch.rewards[t] = rewards
+        obs, priv, out, terminal = envs.step(phys)
+        dones = out.code != 0
+        staged["reward"][np.arange(B), collector.length - 1] += out.reward
+        batch.rewards[t] = out.reward
         batch.dones[t] = dones
+        success.append(out.success[dones])
+        episode_return.append(terminal.episode_return)
 
-        for i in np.flatnonzero(dones):
-            episode_infos.append(infos[i])
+        for i, x_end, floor_end in zip(np.flatnonzero(dones), terminal.x, terminal.floor):
             n = collector.length[i]
             closed.append((i, tick_step[i, :n].copy(), {
                 **{f: a[i, :n].copy() for f, a in staged.items()},
-                "terminal_x": infos[i]["terminal_x"],
-                "terminal_floor": infos[i]["terminal_floor"]}))
+                "terminal_x": x_end, "terminal_floor": floor_end}))
         # a done env's next episode starts from its reset state, memory cleared
         collector.x[dones] = envs.state.x[dones]
         collector.h[dones] = 0.0
@@ -327,7 +325,7 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
 
     # bootstrap value of the state after the last step, then GAE targets
     with no_grad():
-        values[steps] = critic(priv, collector.h_cur, collector.rollout_cur).data
+        values[steps] = critic(priv, collector.h, collector.rollout_cur).data
     batch.advantages, batch.returns = compute_gae(batch.rewards, values,
                                                   batch.dones, gamma, lam)
 
@@ -339,7 +337,7 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
         episode["value_target"][opened] = batch.returns[steps_i[opened], i]
         replay.add_episode(episode)
 
-    return batch, obs, priv, episode_infos, tick_count
+    return batch, obs, priv, np.concatenate(success), np.concatenate(episode_return)
 
 
 def ppo_update(batch: RolloutBatch, actor: Actor, critic: Critic, optimizer: Adam,
@@ -525,15 +523,14 @@ class Trainer:
 
     def run_iteration(self) -> dict:
         tc = self.cfg.train
-        batch, self.obs, self.priv, infos, ticks = collect_rollouts(
+        batch, self.obs, self.priv, success, returns = collect_rollouts(
             self.actor, self.critic, self.model, self.envs, self.obs, self.priv,
             tc.steps_per_iteration, self.cfg.steps_per_tick, self.rng_collect,
             self.collector, self.replay, tc.gamma, tc.gae_lambda)
         self.env_steps_total += batch.size
 
-        for info in infos:
-            self.success_window.append(bool(info["success"]))
-            self.recent_returns.append(float(info["episode_return"]))
+        self.success_window.extend(success.tolist())
+        self.recent_returns.extend(returns.tolist())
         self.success_window = self.success_window[-tc.curriculum_window:]
         self.recent_returns = self.recent_returns[-50:]
 
@@ -578,7 +575,7 @@ class Trainer:
             "terrain_level": self.level,
             "success_rate": (float(np.mean(self.success_window))
                              if self.success_window else None),
-            "episodes_completed": len(infos),
+            "episodes_completed": len(success),
             "model_updates": n_model,
             "model_loss": {k: round(v, 6) for k, v in model_stats.items()},
             "ppo": {k: round(float(v), 6) for k, v in ppo_stats.items()},

@@ -121,6 +121,39 @@ def test_train_window_fields_must_be_positive(tmp_path, capsys, name):
     assert f"train.{name}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, name, value", [
+    ("env", "dt", 0.0),
+    ("env", "dt", -0.02),
+    ("env", "max_steps", 0),
+    ("env", "terrain_kind", "lava"),
+    ("env", "terrain_level", 9),
+    ("env", "terrain_level", -1),
+    ("env", "action_low", [-30.0, 60.0, -5.0, -1.5]),
+    ("model", "imagination_horizon", 0),
+    ("model", "d_h", 0),
+    ("model", "d_z", 0),
+    ("model", "d_e", 0),
+    ("model", "embed_hidden", 0),
+    ("model", "head_hidden", 0),
+    ("model", "decoder_hidden", 0),
+    ("planner", "penalty_weight", -1.0),
+])
+def test_malformed_config_exits_2_with_field(tmp_path, capsys, section, name, value):
+    """Each malformed value is a ConfigError naming its field, raised when
+    the config is read, before any run starts."""
+    data = smoke_config(0).to_dict()
+    data[section][name] = value
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(data)
+    field = f"{section}.{name}"
+    assert err.value.field == field
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_train_creates_run_directory(tmp_path):
     cfg_path = _write_config(tmp_path, train=TINY_TRAIN)
     out = tmp_path / "run"

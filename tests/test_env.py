@@ -8,7 +8,7 @@ import pytest
 
 from kinoplan.env import (ACTION_DIM, EnvBatch, EnvConfig, EnvState, HISTORY_LEN,
                           HISTORY_SIZE, PlanarEnv, PROPRIO_DIM, REWARD_SCALES,
-                          SCAN_DOT_COUNT, curriculum_advance,
+                          SCAN_DOT_COUNT, TERMINATIONS, curriculum_advance,
                           env_seeds, lin_tracking_reward, observe, step_state,
                           total_reward)
 from kinoplan.errors import ConfigError
@@ -91,9 +91,9 @@ def test_determinism_given_seed_terrain_actions():
         total = 0.0
         for i in range(80):
             a = np.array([15 * math.sin(i / 7), 20.0, 0.3, 0.5 * math.cos(i / 5)])
-            _, _, r, _, done, _ = env.step(a)
-            total += r
-            if done:
+            _, _, out = env.step(a)
+            total += out.reward
+            if out.code:
                 break
         return env.state.x.copy(), total
 
@@ -125,39 +125,38 @@ def test_nan_action_terminates_with_fault():
     env = make_env()
     env.reset()
     env.state.x[0] = np.nan
-    _, _, _, _, done, info = env.step(np.zeros(ACTION_DIM))
-    assert done and info["fault"] and info["termination"] == "fault"
+    _, _, out = env.step(np.zeros(ACTION_DIM))
+    assert out.fault and TERMINATIONS[out.code] == "fault"
 
 
 def test_pitch_termination():
     env = make_env()
     env.reset()
     for _ in range(300):
-        _, _, _, _, done, info = env.step(np.array([0.0, 0.0, 5.0, 0.0]))
-        if done:
+        _, _, out = env.step(np.array([0.0, 0.0, 5.0, 0.0]))
+        if out.code:
             break
-    assert done and info["termination"] == "pitch"
+    assert TERMINATIONS[out.code] == "pitch"
 
 
 def test_crawl_ceiling_collision_terminates():
     env = make_env(terrain_kind="crawl", terrain_level=8)
     env.reset()
     env.state.x = np.array([3.5, 0.5, 0, 0.5, 0, 0, 0])  # standing under the slab
-    _, _, _, _, done, info = env.step(np.zeros(ACTION_DIM))
-    assert done and info["termination"] == "collision"
-    assert info["events"].get("collision")
+    _, _, out = env.step(np.zeros(ACTION_DIM))
+    assert TERMINATIONS[out.code] == "collision"
+    assert out.events["collision"]
 
 
 def test_gap_fall_terminates():
     env = make_env(terrain_kind="gap", terrain_level=8)
     env.reset()
     env.state.x = np.array([2.5, 0.5, 0, 0, 0, 0, 0])  # over the gap, falling
-    done = False
     for _ in range(100):
-        _, _, _, _, done, info = env.step(np.zeros(ACTION_DIM))
-        if done:
+        _, _, out = env.step(np.zeros(ACTION_DIM))
+        if out.code:
             break
-    assert done and info["termination"] == "fall"
+    assert TERMINATIONS[out.code] == "fall"
 
 
 def test_stumble_blocks_step_riser():
@@ -166,12 +165,12 @@ def test_stumble_blocks_step_riser():
     # drive into the first riser at foot level
     stumbled = False
     for _ in range(400):
-        _, _, _, terms, done, info = env.step(np.array([20.0, 0.0, 0.0, 0.0]))
-        if info["events"].get("stumble"):
+        _, _, out = env.step(np.array([20.0, 0.0, 0.0, 0.0]))
+        if out.events["stumble"]:
             stumbled = True
             assert env.state.x[IDX_VX] == 0.0
             break
-        if done:
+        if out.code:
             break
     assert stumbled
 
@@ -179,10 +178,11 @@ def test_stumble_blocks_step_riser():
 def test_success_when_reaching_goal():
     env = make_env(frictionless=True, v_cmd_range=(0.8, 0.8), max_steps=3000)
     env.reset()
-    done = False
-    while not done:
-        _, _, _, _, done, info = env.step(np.array([2.0, 0.0, 0.0, 0.0]))
-    assert info["success"] and info["termination"] == "success"
+    while True:
+        _, _, out = env.step(np.array([2.0, 0.0, 0.0, 0.0]))
+        if out.code:
+            break
+    assert out.success and TERMINATIONS[out.code] == "success"
 
 
 def test_stuck_event_fires_after_window():
@@ -190,8 +190,8 @@ def test_stuck_event_fires_after_window():
     env.reset()
     seen = False
     for i in range(60):
-        _, _, _, _, _, info = env.step(np.zeros(ACTION_DIM))
-        if info["events"].get("stuck"):
+        _, _, out = env.step(np.zeros(ACTION_DIM))
+        if out.events["stuck"]:
             seen = True
             assert i + 1 >= env.cfg.stuck_steps
     assert seen
@@ -280,7 +280,7 @@ def test_history_last_row_is_current_reading():
     env = make_env()
     obs, _ = env.reset()
     a = np.array([5.0, 0.0, 0.0, 0.5])
-    obs, _, _, _, _, _ = env.step(a)
+    obs, _, _ = env.step(a)
     row = history(env, obs)[-1]
     x = env.state.x
     assert row[0] == x[IDX_OFFSET]
@@ -297,7 +297,7 @@ def test_history_ordering_oldest_to_newest():
     for _ in range(6):
         obs, *_ = env.step(np.array([0.0, 0.0, 0.0, 1.5]))[:1]
         offsets.append(env.state.x[IDX_OFFSET])
-    hist = history(env, env._observe()[0])[:, 0]
+    hist = history(env, observe(env.cfg, env.state)[0])[:, 0]
     assert np.allclose(hist, offsets[-5:])
 
 
@@ -333,11 +333,11 @@ def test_batch_step_and_terminal_info():
     assert obs.shape == (3, batch.cfg.obs_dim)
     done_seen = False
     for _ in range(40):
-        o, p, r, dones, infos = batch.step(np.zeros((3, ACTION_DIM)))
-        for d, info in zip(dones, infos):
-            if d:
-                done_seen = True
-                assert "terminal_x" in info and "terminal_floor" in info
+        o, p, out, terminal = batch.step(np.zeros((3, ACTION_DIM)))
+        n = int(np.count_nonzero(out.code))
+        done_seen |= n > 0
+        assert terminal.x.shape == (n, 7) and terminal.floor.shape == (n,)
+        assert terminal.episode_return.shape == terminal.episode_steps.shape == (n,)
     assert done_seen
 
 
@@ -349,20 +349,34 @@ def _bits(a):
 
 def _step_pair(batch, singles, actions):
     """Step a batch and its independently stepped single envs with the same
-    actions; require bit-identical obs, priv, rewards, dones and infos."""
-    obs, priv, rewards, dones, infos = batch.step(actions)
+    actions; require bit-identical obs, priv and step reports: every
+    StepOutcome field, and the episode return, steps, terminal state and
+    floor of each env the step ended."""
+    obs, priv, out, terminal = batch.step(actions)
+    dones = out.code != 0
+    ended = 0                       # terminal row of the next ended env
     for i, env in enumerate(singles):
-        o, p, r, _, done, info = env.step(actions[i])
-        if done:
-            x = env.state.x.copy()
-            info = {**info, "terminal_x": x,
-                    "terminal_floor": float(env.terrain.floor_height(x[IDX_PX]))}
+        o, p, want = env.step(actions[i])
+        for name in ("reward", "code", "fault", "success"):
+            assert _bits(getattr(out, name)[i]) == _bits(getattr(want, name)), name
+        for field in ("terms", "events"):
+            got_d, want_d = getattr(out, field), getattr(want, field)
+            assert list(got_d) == list(want_d)
+            for k in want_d:
+                assert _bits(got_d[k][i]) == _bits(want_d[k]), k
+        if want.code:
+            x = env.state.x
+            assert _bits(terminal.x[ended]) == _bits(x)
+            assert _bits(terminal.floor[ended]) == _bits(env.terrain.floor_height(x[IDX_PX]))
+            assert _bits(terminal.episode_return[ended]) == _bits(env.state.episode_return)
+            assert terminal.episode_steps[ended] == env.state.step_count
+            ended += 1
             o, p = env.reset(level=batch.level)
-        got = dict(infos[i])
-        assert _bits(got.pop("terminal_x", [])) == _bits(info.pop("terminal_x", []))
-        assert got == info
+        else:
+            assert _bits(batch.state.episode_return[i]) == _bits(env.state.episode_return)
+            assert batch.state.step_count[i] == env.state.step_count
         assert _bits(obs[i]) == _bits(o) and _bits(priv[i]) == _bits(p)
-        assert _bits(rewards[i]) == _bits(r) and dones[i] == done
+    assert ended == len(terminal.x)
     return dones
 
 
@@ -417,8 +431,8 @@ def test_padded_batch_of_mixed_terrains_matches_single_envs():
         out = step_state(cfg, batch, actions)
         obs, priv = observe(cfg, batch)
         for i, env in enumerate(singles):
-            o, p, r, _, done, _ = env.step(actions[i])
-            assert _bits(out.reward[i]) == _bits(r) and bool(out.code[i]) == done
+            o, p, want = env.step(actions[i])
+            assert _bits(out.reward[i]) == _bits(want.reward) and out.code[i] == want.code
             assert _bits(obs[i]) == _bits(o) and _bits(priv[i]) == _bits(p)
             assert _bits(batch.x[i]) == _bits(env.state.x)
 
@@ -461,14 +475,16 @@ def test_fault_reports_only_a_stumble_found_before_it():
     push = np.array([20.0, 0.0, 0.0, 0.0])
     for _ in range(400):
         before = copy.deepcopy(env)
-        if env.step(push)[5]["events"].get("stumble"):
+        if env.step(push)[2].events["stumble"]:
             break
     else:
         pytest.fail("never reached a riser")
     x = before.state.x.copy()
-    _, _, r, terms, done, info = before.step(np.array([20.0, 0.0, np.nan, 0.0]))
-    assert done and info["fault"] and info["events"] == {"stumble": True}
-    assert r == 0.0 and terms == {} and np.array_equal(before.state.x, x)
+    _, _, out = before.step(np.array([20.0, 0.0, np.nan, 0.0]))
+    assert out.fault and TERMINATIONS[out.code] == "fault"
+    assert {k: v for k, v in out.events.items() if v} == {"stumble": True}
+    assert out.reward == 0.0 and all(v == 0.0 for v in out.terms.values())
+    assert np.array_equal(before.state.x, x)
 
 
 def _reference_reward(x, a, prev_a, prev_hr, hr, v_cmd, events, cfg):

@@ -123,13 +123,14 @@ def test_collect_tick_rate_contract(tmp_path):
                        train={"num_envs": 2, "steps_per_iteration": 25})
     tr = Trainer(cfg, str(tmp_path / "run"))
     _calm_actor(tr)
-    batch, obs, priv, infos, ticks = collect_rollouts(
+    batch, *_ = collect_rollouts(
         tr.actor, tr.critic, tr.model, tr.envs, tr.obs, tr.priv, 25,
         cfg.steps_per_tick, tr.rng_collect, tr.collector, tr.replay,
         0.99, 0.95)
-    # no terminations on flat terrain in 25 steps: exactly T/5 ticks per env
+    # no terminations on flat terrain in 25 steps: exactly T/5 ticks per env,
+    # each opening one staged record
     assert not any(d for d in batch.dones.ravel())
-    assert ticks == 2 * (25 // cfg.steps_per_tick)
+    assert tr.collector.length.sum() == 2 * (25 // cfg.steps_per_tick)
 
 
 def test_collect_h_held_fixed_within_windows(tmp_path):
@@ -159,9 +160,9 @@ def test_collect_rewards_match_env_replay():
     replay_env.reset()
     action = env_cfg.to_physical(np.array([0.2, 0.1, 0.0, 0.05]))
     for _ in range(40):
-        _, _, r, dones, _ = batch_env.step(action[None])
-        assert not dones[0]
-        assert r[0] == replay_env.step(action)[2]
+        _, _, out, _ = batch_env.step(action[None])
+        assert not out.code[0]
+        assert out.reward[0] == replay_env.step(action)[2].reward
 
 
 def _random_episode(rng, n, obs_dim=6, action_dim=2):
@@ -345,12 +346,13 @@ def test_resume_rejects_agent_checkpoint(tmp_path):
         tr.load_resume_state(str(path))
 
 
-def test_resume_rejects_previous_resume_kind(tmp_path):
+@pytest.mark.parametrize("kind", ["kinoplan-resume-2", "kinoplan-resume-3"])
+def test_resume_rejects_previous_resume_kind(tmp_path, kind):
     tr = _resume_trainer(tmp_path, "a")
     path = tmp_path / "state.kpt"
     tr.save_resume_state(str(path))
     arrays, meta = load_checkpoint(str(path))
-    save_checkpoint(str(path), arrays, {**meta, "kind": "kinoplan-resume-2"})
+    save_checkpoint(str(path), arrays, {**meta, "kind": kind})
     with pytest.raises(ArtifactMismatchError, match="not a resume state"):
         _resume_trainer(tmp_path, "b").load_resume_state(str(path))
 
