@@ -132,6 +132,9 @@ class ExperimentConfig:
             raise ConfigError("env.action_low", "must lie below action_high")
         if env.max_steps < 1:
             raise ConfigError("env.max_steps", "must be >= 1")
+        for name in ("sigma_lin", "sigma_ang"):
+            if not getattr(env, name) > 0.0:
+                raise ConfigError(f"env.{name}", "tracking scale must be positive")
         for name in ("d_h", "d_z", "d_e", "imagination_horizon", "embed_hidden",
                      "head_hidden", "decoder_hidden"):
             if getattr(self.model, name) < 1:

@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -364,14 +363,20 @@ def step_state(cfg: EnvConfig, s: EnvState, action) -> StepOutcome:
     leg = body.leg_length
     lo, hi = cfg.action_box()
     a = np.minimum(np.maximum(np.asarray(action, dtype=np.float64), lo), hi)
-    floor_at = partial(interp_rows, xp=s.floor_x, fp=s.floor_z)
 
     fault_before = ~np.isfinite(s.x).all(axis=-1)
     px, pz, _, _, _, _, d = s.x.T
-    floor_here = floor_at(px)
+    floor_here = interp_rows(px, s.floor_x, s.floor_z)
     contact = pz - (leg + d) <= floor_here + body.contact_tol
     air = body.air_force_scale
     wrench = select(contact, a, a * np.array([air, air, 1.0, 1.0]))
+    asked = []
+
+    def floor_at(q):
+        # advance_state asks at p_x, which floor_here holds, then at p_x'
+        asked.append(interp_rows(q, s.floor_x, s.floor_z) if asked else floor_here)
+        return asked[-1]
+
     x2 = advance_state(s.x, wrench, cfg.dt, body, floor_at, friction=s.friction)
     px2, pz2, th2, vx2, vz2, om2, d2 = x2.T
     height_rate = (d2 - d) / cfg.dt
@@ -379,7 +384,7 @@ def step_state(cfg: EnvConfig, s: EnvState, action) -> StepOutcome:
 
     # step-riser blocking: the foot cannot slide into a rise taller than tol;
     # a planted foot has not moved vertically before it is re-planted
-    floor_ahead = floor_at(px2)
+    floor_ahead = asked[1]
     stumble = floor_ahead - (select(planted, pz, pz2) - (leg + d2)) > cfg.step_up_tol
     px2 = select(stumble, px, px2)
     vx2 = select(stumble, 0.0, vx2)

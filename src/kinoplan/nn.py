@@ -8,9 +8,11 @@ are float32 -- parameters, activations, gradients and Adam moments. The
 kinodynamic state and its integrators, the env, rewards, GAE and the
 planner's arithmetic are float64. A layer draws its initial parameters in
 float64 and a network casts them to NET_DTYPE once, so a seed draws the
-same stream at either width. Each layer casts a constant input (an array,
-or a tensor off the tape) to its own dtype; a network output that enters
-the state is cast to float64 with `ad.astype`.
+same stream at either width. Dense, GruCell and Conv1d cast a constant
+input to their own dtype: an array, or a tensor off the tape, which under
+`no_grad` is every tensor. A tensor on the tape keeps its dtype, so a
+float64 one runs the layer in float64, as a gradient check does. A
+network output that enters the state is cast to float64 with `ad.astype`.
 """
 
 from __future__ import annotations

@@ -101,7 +101,8 @@ def advance_state(x: np.ndarray, wrench: np.ndarray, dt: float, body: BodyParams
     the support force cancels gravity, downward velocity is absorbed, and
     unless taking off the body height is kinematic (foot planted on the
     floor at the new position). floor_at maps horizontal positions to floor
-    heights; None means free flight everywhere.
+    heights and is asked once at p_x, then once at p_x'; None means free
+    flight everywhere.
     """
     # Unpacking the columns with .T, and choosing through select(), keeps a
     # single state's values numpy scalars rather than 0-d arrays, whose ufunc

@@ -400,3 +400,79 @@ def test_sigmoid_and_exp_stay_finite_at_float32_extremes():
     log_std = ad.clip(Tensor(np.array([-1e4, 1e4], F32), requires_grad=True), -5.0, 2.0)
     for e in (ad.exp(log_std), ad.exp(-log_std), ad.exp(2.0 * (log_std - log_std[::-1]))):
         assert e.data.dtype == F32 and np.isfinite(e.data).all()
+
+
+# -- the off-tape branch ------------------------------------------------------------
+
+MASK = np.arange(12).reshape(4, 3) % 3 == 0
+
+# (op, operands): an operand is a shape, drawn as an array of the test's dtype,
+# or a Python scalar, passed as it is
+OPS = {
+    "add": (ad.add, [(4, 3), (3,)]),
+    "add scalar": (ad.add, [(4, 3), 0.3]),
+    "radd int": (lambda a, b: a + b, [2, (4, 3)]),
+    "sub": (ad.sub, [(4, 3), (4, 1)]),
+    "rsub scalar": (lambda a, b: a - b, [1.5, (4, 3)]),
+    "mul": (ad.mul, [(4, 3), (4, 3)]),
+    "mul scalar": (ad.mul, [(4, 3), -0.7]),
+    "neg": (lambda a: -a, [(4, 3)]),
+    "square": (ad.square, [(4, 3)]),
+    "matmul": (ad.matmul, [(4, 3), (3, 2)]),
+    "matmul vector": (ad.matmul, [(3,), (3, 2)]),
+    "astype": (lambda a: ad.astype(a, np.float64 if a.data.dtype == F32 else F32), [(4, 3)]),
+    "exp": (ad.exp, [(4, 3)]),
+    "tanh": (ad.tanh, [(4, 3)]),
+    "sigmoid": (ad.sigmoid, [(4, 3)]),
+    "elu": (ad.elu, [(4, 3)]),
+    "relu": (ad.relu, [(4, 3)]),
+    "clip": (lambda a: ad.clip(a, -0.5, 0.7), [(4, 3)]),
+    "dense": (ad.dense, [(4, 3), (3, 2), (2,)]),
+    "dense elu": (lambda x, w, b: ad.dense(x, w, b, elu=True), [(4, 3), (3, 2), (2,)]),
+    "where": (lambda a, b: ad.where(MASK, a, b), [(4, 3), (4, 3)]),
+    "where scalar": (lambda a, b: ad.where(MASK, a, b), [(4, 3), 0.0]),
+    "minimum": (ad.minimum, [(4, 3), (4, 3)]),
+    "minimum scalar": (ad.minimum, [0.1, (4, 3)]),
+    "sum all": (ad.sum_, [(4, 3)]),
+    "sum axis": (lambda a: ad.sum_(a, axis=0, keepdims=True), [(4, 3)]),
+    "mean all": (ad.mean, [(4, 3)]),
+    "mean axis": (lambda a: ad.mean(a, axis=-1), [(4, 3)]),
+    "reshape": (lambda a: ad.reshape(a, (3, 4)), [(4, 3)]),
+    "concat": (lambda a, b: ad.concat([a, b], axis=0), [(4, 3), (2, 3)]),
+    "take": (lambda a: a[1:3, ::2], [(4, 3)]),
+    "conv1d": (lambda x, w, b: ad.conv1d(x, w, b, stride=2), [(2, 3, 9), (4, 3, 3), (4,)]),
+}
+
+
+@pytest.mark.parametrize("dtype", [F32, np.float64])
+@pytest.mark.parametrize("name", OPS)
+def test_off_tape_result_has_the_dtype_and_bits_of_the_tape_result(name, dtype, rng):
+    op, operands = OPS[name]
+    drawn = [rng.normal(size=o).astype(dtype) if isinstance(o, tuple) else o
+             for o in operands]
+
+    def run(requires_grad):
+        return op(*[Tensor(d, requires_grad=requires_grad) if isinstance(d, np.ndarray)
+                    else d for d in drawn])
+
+    tape = run(True)
+    assert tape._backward is not None
+    with ad.no_grad():
+        off = run(True)
+    for out in (off, run(False)):                     # under no_grad, and constants
+        assert type(out.data) is np.ndarray
+        assert out.data.dtype == tape.data.dtype
+        assert out.data.tobytes() == tape.data.tobytes()
+        assert out._parents == () and out._backward is None and not out.requires_grad
+
+
+def test_constant_as_off_the_tape_is_a_cast(rng):
+    x = rng.normal(size=(2, 3))
+    t = Tensor(x, requires_grad=True)
+    with ad.no_grad():
+        cast = ad.constant_as(t, F32)
+    assert cast.data.tobytes() == x.astype(F32).tobytes() and cast._parents == ()
+    assert ad.constant_as(t, F32) is t                # on the tape it keeps its dtype
+    same = Tensor(x.astype(F32))
+    assert ad.constant_as(same, F32) is same
+    assert ad.constant_as(x, F32).data.tobytes() == x.astype(F32).tobytes()

@@ -129,6 +129,8 @@ def test_train_window_fields_must_be_positive(tmp_path, capsys, name):
     ("env", "terrain_level", 9),
     ("env", "terrain_level", -1),
     ("env", "action_low", [-30.0, 60.0, -5.0, -1.5]),
+    ("env", "sigma_lin", 0.0),
+    ("env", "sigma_ang", -0.5),
     ("model", "imagination_horizon", 0),
     ("model", "d_h", 0),
     ("model", "d_z", 0),

@@ -64,6 +64,24 @@ def test_step_is_one_shared_integrator_step_on_flat(rng):
             assert np.array_equal(env.state.x, want)
 
 
+def test_planted_foot_follows_the_floor_at_its_new_position():
+    """Up a slope a planted foot is re-planted each step on the floor under
+    its new p_x, not on the floor it stood on (a blocked step keeps p_x)."""
+    env = make_env(terrain_kind="slope", terrain_level=8, frictionless=True)
+    env.reset()
+    leg = env.cfg.body.leg_length
+    climbed = 0
+    for _ in range(60):
+        px = env.state.x[IDX_PX]
+        _, _, out = env.step(np.array([10.0, 0.0, 0.0, 0.0]))
+        assert out.code == 0
+        x = env.state.x
+        floor = env.terrain.floor_height(x[IDX_PX])
+        assert x[IDX_PZ] == floor + leg + x[IDX_OFFSET]
+        climbed += floor != env.terrain.floor_height(px)
+    assert climbed > 20
+
+
 def test_constant_force_frictionless_velocity():
     env = make_env(frictionless=True)
     env.reset()
