@@ -18,9 +18,13 @@ Off the tape, an op skips the tape machinery. When no operand is on the tape
 (always so under `no_grad`, where all inference runs), an op reads its
 operands' arrays, does the numpy work and wraps the result in a bare tensor:
 no operand coercion, no constructor checks and no dtype bookkeeping, and
-`constant_as` is a cast only. It keeps the shape checks, and dense and matmul
-still compare their operands' dtypes, so a float64 constant in a float32 layer
-is refused there too. Results have the dtype and the bits of the tape's.
+`constant_as` is a cast only. It keeps the shape checks, and dense, matmul and
+gru_cell still compare their operands' dtypes, so a float64 constant in a
+float32 layer is refused there too. Results have the tape's dtype and bits.
+
+Two ops are one tape node each for a chain of this module's ops: `dense` (a
+layer) and `gru_cell` (a GRU step). Each gives that chain's values and
+gradients bit for bit, pinned by a test against the chain.
 """
 
 from __future__ import annotations
@@ -180,9 +184,13 @@ def _tracked(*tensors) -> bool:
                for t in tensors)
 
 
-def _node(data, parents, backward) -> Tensor:
-    out = Tensor(data)
+def node(data, parents, backward) -> Tensor:
+    """A tape node (`backward(g)` gives one gradient or None per parent), or
+    a bare tensor when no parent is on the tape."""
     tape = [p.data.dtype for p in parents if _tracked(p)]
+    if not tape:
+        return _const(data)
+    out = Tensor(data)
     if out.data.dtype not in tape:
         raise DimensionError(f"a constant operand widened a {tape[0]} tensor on the tape "
                              f"to {out.data.dtype}; cast the constant first")
@@ -192,8 +200,8 @@ def _node(data, parents, backward) -> Tensor:
 
 
 def _mixed_dtypes(*arrays) -> DimensionError:
-    """dense and matmul compute in one dtype: off the tape their operands
-    must agree (on the tape, _node lets only a tape operand widen them)."""
+    """dense, matmul and gru_cell compute in one dtype: off the tape their
+    operands must agree (on the tape, node lets only a tape operand widen)."""
     return DimensionError(f"operands of different dtypes: {[a.dtype.name for a in arrays]}")
 
 
@@ -220,7 +228,7 @@ def add(a, b) -> Tensor:
         return _const(_data(a) + _data(b))
     a, b = _pair(a, b)
     need_a, need_b = _tracked(a), _tracked(b)
-    return _node(a.data + b.data, (a, b), lambda g: (
+    return node(a.data + b.data, (a, b), lambda g: (
         _unbroadcast(g, a.data.shape) if need_a else None,
         _unbroadcast(g, b.data.shape) if need_b else None))
 
@@ -230,7 +238,7 @@ def sub(a, b) -> Tensor:
         return _const(_data(a) - _data(b))
     a, b = _pair(a, b)
     need_a, need_b = _tracked(a), _tracked(b)
-    return _node(a.data - b.data, (a, b), lambda g: (
+    return node(a.data - b.data, (a, b), lambda g: (
         _unbroadcast(g, a.data.shape) if need_a else None,
         -_unbroadcast(g, b.data.shape) if need_b else None))
 
@@ -240,7 +248,7 @@ def mul(a, b) -> Tensor:
         return _const(_data(a) * _data(b))
     a, b = _pair(a, b)
     need_a, need_b = _tracked(a), _tracked(b)
-    return _node(a.data * b.data, (a, b), lambda g: (
+    return node(a.data * b.data, (a, b), lambda g: (
         _unbroadcast(g * b.data, a.data.shape) if need_a else None,
         _unbroadcast(g * a.data, b.data.shape) if need_b else None))
 
@@ -249,7 +257,7 @@ def square(a) -> Tensor:
     data = _data(a) ** 2.0
     if not (_GRAD_ENABLED and _tracked(a)):
         return _const(data)
-    return _node(data, (a,), lambda g: (g * 2.0 * a.data,))
+    return node(data, (a,), lambda g: (g * 2.0 * a.data,))
 
 
 def matmul(a, b) -> Tensor:
@@ -274,7 +282,7 @@ def matmul(a, b) -> Tensor:
             gb = ad.T @ g if ad.ndim == 2 else (np.outer(ad, g) if bd.ndim == 2 else g * ad)
         return ga, gb
 
-    return _node(a.data @ b.data, (a, b), backward)
+    return node(a.data @ b.data, (a, b), backward)
 
 
 def astype(a, dtype) -> Tensor:
@@ -295,14 +303,14 @@ def exp(a) -> Tensor:
     data = np.exp(_data(a))
     if not (_GRAD_ENABLED and _tracked(a)):
         return _const(data)
-    return _node(data, (a,), lambda g: (g * data,))
+    return node(data, (a,), lambda g: (g * data,))
 
 
 def tanh(a) -> Tensor:
     data = np.tanh(_data(a))
     if not (_GRAD_ENABLED and _tracked(a)):
         return _const(data)
-    return _node(data, (a,), lambda g: (g * (1.0 - data * data),))
+    return node(data, (a,), lambda g: (g * (1.0 - data * data),))
 
 
 def sigmoid(a) -> Tensor:
@@ -312,7 +320,7 @@ def sigmoid(a) -> Tensor:
     data *= 0.5
     if not (_GRAD_ENABLED and _tracked(a)):
         return _const(data)
-    return _node(data, (a,), lambda g: (g * data * (1.0 - data),))
+    return node(data, (a,), lambda g: (g * data * (1.0 - data),))
 
 
 def _elu(pre: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -339,7 +347,7 @@ def elu(a) -> Tensor:
     data = _elu(_data(a))
     if not (_GRAD_ENABLED and _tracked(a)):
         return _const(data)
-    return _node(data, (a,), lambda g: (g * _elu_slope(data),))
+    return node(data, (a,), lambda g: (g * _elu_slope(data),))
 
 
 def dense(x, w, b, elu: bool = False) -> Tensor:
@@ -374,18 +382,64 @@ def dense(x, w, b, elu: bool = False) -> Tensor:
                 x.data.T @ g if need_w else None,
                 g.sum(axis=0) if need_b else None)
 
-    return _node(data, (x, w, b), backward)
+    return node(data, (x, w, b), backward)
+
+
+def gru_cell(x, h, w_x, w_h, b) -> Tensor:
+    """One GRU step, gate order (r, u, c): h' = (1 - u) * h + u * c with
+    c = tanh(gx_c + r * gh_c), gx = x @ w_x + b, gh = h @ w_h and r, u =
+    sigmoid(gx + gh). h is a parent twice, so its terms through h @ w_h and
+    (1 - u) * h reach the tape apart, as from the chain of ops."""
+    xd, hd, wxd, whd, bd = _data(x), _data(h), _data(w_x), _data(w_h), _data(b)
+    n = hd.shape[-1]
+    if xd.ndim != 2 or hd.shape != (xd.shape[0], n) or wxd.shape != (xd.shape[1], 3 * n) \
+            or whd.shape != (n, 3 * n) or bd.shape != (3 * n,):
+        raise DimensionError("gru_cell expects x (N, in), h (N, n), w_x (in, 3n), w_h (n, 3n)"
+                             f" and b (3n,), got {[a.shape for a in (xd, hd, wxd, whd, bd)]}")
+    tracked = _GRAD_ENABLED and _tracked(x, h, w_x, w_h, b)
+    if not tracked and not xd.dtype == hd.dtype == wxd.dtype == whd.dtype == bd.dtype:
+        raise _mixed_dtypes(xd, hd, wxd, whd, bd)
+    gx = xd @ wxd
+    gx += bd
+    gh = hd @ whd
+    ru = 0.5 * (np.tanh(0.5 * (gx[:, :2 * n] + gh[:, :2 * n])) + 1.0)    # sigmoid's form
+    r, u = ru[:, :n], ru[:, n:]
+    c = np.tanh(gx[:, 2 * n:] + r * gh[:, 2 * n:])
+    keep = 1.0 - u
+    data = keep * hd + u * c
+    if not tracked:
+        return _const(data)
+    x, h, w_x, w_h, b = (as_tensor(t) for t in (x, h, w_x, w_h, b))
+    need_x, need_h, need_wx, need_wh, need_b = (_tracked(t) for t in (x, h, w_x, w_h, b))
+
+    def backward(g):
+        g_c = g * u * (1.0 - c * c)
+        # r through r * gh_c; u through u * c and 1 - u
+        g_ru = np.concatenate([g_c * gh[:, 2 * n:], g * c - g * hd], axis=1) * ru * (1.0 - ru)
+        # 0.0 + g for each slice, as take's backward adds it into zeros
+        g_gx = np.concatenate([g_ru, g_c], axis=1) + 0.0
+        g_gh = np.concatenate([g_ru, g_c * r], axis=1) + 0.0
+        return (g_gx @ wxd.T if need_x else None,
+                g * keep if need_h else None,
+                g_gh @ whd.T if need_h else None,
+                xd.T @ g_gx if need_wx else None,
+                hd.T @ g_gh if need_wh else None,
+                g_gx.sum(axis=0) if need_b else None)
+
+    return node(data, (x, h, h, w_x, w_h, b), backward)
 
 
 def relu(a) -> Tensor:
     data = np.maximum(_data(a), 0.0)
     if not (_GRAD_ENABLED and _tracked(a)):
         return _const(data)
-    return _node(data, (a,), lambda g: (g * (a.data > 0.0),))
+    return node(data, (a,), lambda g: (g * (a.data > 0.0),))
 
 
 def clip(a, lo=None, hi=None) -> Tensor:
-    data = np.clip(_data(a), lo, hi)
+    """np.clip's bits for nonzero bounds, at half its call cost; None is open."""
+    data = _data(a) if lo is None else np.maximum(_data(a), lo)
+    data = data if hi is None else np.minimum(data, hi)
     if not (_GRAD_ENABLED and _tracked(a)):
         return _const(data)
     inside = np.ones_like(a.data)
@@ -393,7 +447,7 @@ def clip(a, lo=None, hi=None) -> Tensor:
         inside = inside * (a.data >= lo)
     if hi is not None:
         inside = inside * (a.data <= hi)
-    return _node(data, (a,), lambda g: (g * inside,))
+    return node(data, (a,), lambda g: (g * inside,))
 
 
 def where(cond, a, b) -> Tensor:
@@ -402,9 +456,9 @@ def where(cond, a, b) -> Tensor:
     if not (_GRAD_ENABLED and _tracked(a, b)):
         return _const(np.where(cond, _data(a), _data(b)))
     a, b = _pair(a, b)
-    return _node(np.where(cond, a.data, b.data), (a, b),
-                 lambda g: (_unbroadcast(np.where(cond, g, 0.0), a.data.shape),
-                            _unbroadcast(np.where(cond, 0.0, g), b.data.shape)))
+    return node(np.where(cond, a.data, b.data), (a, b),
+                lambda g: (_unbroadcast(np.where(cond, g, 0.0), a.data.shape),
+                           _unbroadcast(np.where(cond, 0.0, g), b.data.shape)))
 
 
 def minimum(a, b) -> Tensor:
@@ -425,7 +479,7 @@ def sum_(a, axis=None, keepdims=False) -> Tensor:
         g2 = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(g2, a.data.shape).copy(),)
 
-    return _node(data, (a,), backward)
+    return node(data, (a,), backward)
 
 
 def mean(a, axis=None, keepdims=False) -> Tensor:
@@ -438,7 +492,7 @@ def reshape(a, shape) -> Tensor:
     data = _data(a).reshape(shape)
     if not (_GRAD_ENABLED and _tracked(a)):
         return _const(data)
-    return _node(data, (a,), lambda g: (g.reshape(a.data.shape),))
+    return node(data, (a,), lambda g: (g.reshape(a.data.shape),))
 
 
 def concat(tensors, axis=-1) -> Tensor:
@@ -448,7 +502,7 @@ def concat(tensors, axis=-1) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
-    return _node(data, tensors, lambda g: tuple(np.split(g, splits, axis=axis)))
+    return node(data, tensors, lambda g: tuple(np.split(g, splits, axis=axis)))
 
 
 def take(a, idx) -> Tensor:
@@ -461,7 +515,7 @@ def take(a, idx) -> Tensor:
         np.add.at(out, idx, g)
         return (out,)
 
-    return _node(data, (a,), backward)
+    return node(data, (a,), backward)
 
 
 # -- convolution -----------------------------------------------------------------
@@ -495,7 +549,7 @@ def conv1d(x, w, b, stride: int = 1) -> Tensor:
                 "bol,oi->bil", g, w.data[:, :, kk], optimize=True)
         return gx, gw, gb
 
-    return _node(data, (x, w, b), backward)
+    return node(data, (x, w, b), backward)
 
 
 # Bound as the operators themselves, so `a + b` calls `add` with no frame between.

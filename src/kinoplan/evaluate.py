@@ -76,7 +76,7 @@ def run_policy_episode(env: PlanarEnv, model: InternalModel, actor: Actor,
                                                floor_fn=env.terrain.floor_height)
         with no_grad():
             a = actor(obs[None], h, rollout_flat).mean.data[0]
-        obs, _, out = env.step(env.cfg.to_physical(np.clip(a, -1.0, 1.0)))
+        obs, _, out = env.step(env.cfg.to_physical(np.minimum(np.maximum(a, -1.0), 1.0)))
         phase += 1
         if out.code:
             return _outcome(env, out)
@@ -108,7 +108,7 @@ def run_planner_episode(env: PlanarEnv, model: InternalModel, actor: Actor,
         infeasible += trace.infeasible_events
         if keep_traces:
             traces.append(trace)
-        phys = env.cfg.to_physical(np.clip(a0, -1.0, 1.0))
+        phys = env.cfg.to_physical(np.minimum(np.maximum(a0, -1.0), 1.0))
         for _ in range(config.steps_per_tick):
             obs, _, out = env.step(phys)
             if out.code:

@@ -36,8 +36,7 @@ from .env import ACTION_DIM, HISTORY_SIZE, OBS_DIM, SCAN_MAX_RANGE, SCAN_RAYS
 from .errors import DataError, DimensionError, TrainingError
 from .nn import (NET_DTYPE, Conv1d, Dense, DiagonalGaussian, GaussianHead, GruCell, MLP,
                  Module)
-from .state import (BodyParams, IDX_OFFSET, IDX_OMEGA, IDX_PITCH,
-                    IDX_PX, IDX_PZ, IDX_VX, IDX_VZ, X_DIM, X_FEAT_DIM,
+from .state import (BodyParams, IDX_PITCH, IDX_PX, IDX_PZ, X_DIM, X_FEAT_DIM,
                     foot_height, relative_rollout, x_features)
 
 
@@ -137,9 +136,8 @@ class InternalModel(Module):
         """Encoder branch: sample z from the posterior, estimate x from (e, h)."""
         e, h_next = ad.constant_as(e, NET_DTYPE), ad.constant_as(h_next, NET_DTYPE)
         dist = self.post_z(ad.concat([e, h_next], axis=-1))
-        if noise is None and rng is None:
-            noise = np.zeros(dist.mean.data.shape)
-        z = dist.sample(rng=rng, noise=noise)
+        # zero noise: mean + 0.0 has the bits of mean + std * 0 (std is finite)
+        z = dist.mean + 0.0 if rng is None and noise is None else dist.sample(rng, noise)
         x = self.posterior_x(e, h_next, x_prev)
         return z, dist, x
 
@@ -154,9 +152,7 @@ class InternalModel(Module):
         """
         h_next = ad.constant_as(h_next, NET_DTYPE)
         dist = self.prior_z(h_next)
-        if noise is None and rng is None:
-            noise = np.zeros(dist.mean.data.shape)
-        z = dist.sample(rng=rng, noise=noise)
+        z = dist.mean + 0.0 if rng is None and noise is None else dist.sample(rng, noise)
         wrench = self.wrench(h_next)
         x = self.integrate(np.atleast_2d(x_prev), wrench, floor_now, floor_next,
                            floor_fn)
@@ -166,51 +162,54 @@ class InternalModel(Module):
                   floor_now=None, floor_next=None, floor_fn=None) -> Tensor:
         """Differentiable semi-implicit Euler step of the kinodynamic state
         under a predicted wrench, with support contact canceling gravity and
-        planting the foot. The wrench enters in float64, like the state."""
+        planting the foot: one tape node, with the wrench in float64."""
         wrench = ad.astype(wrench, np.float64)
         body = self.body
         dt = self.cfg.dt_model
-        g = body.gravity
         x_prev = np.atleast_2d(np.asarray(x_prev, dtype=np.float64))
-        n = x_prev.shape[0]
+        px, pz, th, vx, vz, om, d = x_prev.T
+        fx, fz, tau, drate = wrench.data.T
 
         if floor_fn is not None:
-            floor_now = np.asarray(floor_fn(x_prev[:, IDX_PX]))
+            floor_now = np.asarray(floor_fn(px))
         has_contact = floor_now is not None
+        contact = has_contact and (
+            foot_height(x_prev, body) <= np.asarray(floor_now) + body.contact_tol)
+
+        d_free = d + drate * dt
+        d2 = np.minimum(np.maximum(d_free, body.offset_min), body.offset_max)
+        om2 = om + tau * (dt / body.inertia)
+        th2 = th + om2 * dt
+        vx2 = vx + fx * (dt / body.mass)
+        px2 = px + vx2 * dt
+        lift = fz * (1.0 / body.mass) - body.gravity
+        vz_air = vz + lift * dt
+        vz_contact = np.maximum(vz, 0.0) + np.maximum(lift, 0.0) * dt
+        vz2 = np.where(contact, vz_contact, vz_air)
+        pz2 = pz + vz2 * dt
         if has_contact:
-            contact = foot_height(x_prev, body) <= np.asarray(floor_now) + body.contact_tol
-        else:
-            contact = np.zeros(n, dtype=bool)
+            fnext = floor_fn(px2) if floor_fn is not None else floor_next
+            planted = contact & (vz2 <= 0.0)
+            pz2 = np.where(planted, (np.asarray(fnext, np.float64) + body.leg_length) + d2, pz2)
+        out = np.stack([px2, pz2, th2, vx2, vz2, om2, d2], axis=-1)
 
-        fx = wrench[:, 0]
-        fz = wrench[:, 1]
-        tau = wrench[:, 2]
-        drate = wrench[:, 3]
+        def backward(grad):
+            # the same products and sums, in order, as the tape of the op chain
+            g_px, g_pz, g_th, g_vx, g_vz, g_om, g_d = grad.T
+            if has_contact:
+                g_d = g_d + np.where(planted, g_pz, 0.0)
+                g_pz = np.where(planted, 0.0, g_pz)
+            g_vz = g_vz + g_pz * dt
+            inside = (d_free >= body.offset_min) & (d_free <= body.offset_max)
+            g_w = np.zeros_like(wrench.data)
+            g_w[:, 0] += (g_vx + g_px * dt) * (dt / body.mass)
+            g_w[:, 1] += (np.where(contact, 0.0, g_vz) * dt * (1.0 / body.mass)
+                          + np.where(contact, g_vz, 0.0) * dt * (lift > 0.0) * (1.0 / body.mass))
+            g_w[:, 2] += (g_om + g_th * dt) * (dt / body.inertia)
+            g_w[:, 3] += g_d * inside * dt
+            return (g_w,)
 
-        d2 = ad.clip(Tensor(x_prev[:, IDX_OFFSET]) + dt * drate,
-                     body.offset_min, body.offset_max)
-        om2 = Tensor(x_prev[:, IDX_OMEGA]) + (dt / body.inertia) * tau
-        th2 = Tensor(x_prev[:, IDX_PITCH]) + dt * om2
-        vx2 = Tensor(x_prev[:, IDX_VX]) + (dt / body.mass) * fx
-        px2 = Tensor(x_prev[:, IDX_PX]) + dt * vx2
-
-        vz_air = Tensor(x_prev[:, IDX_VZ]) + dt * ((1.0 / body.mass) * fz - g)
-        vz_contact = ad.relu(Tensor(x_prev[:, IDX_VZ])) + dt * ad.relu(
-            (1.0 / body.mass) * fz - g)
-        vz2 = ad.where(contact, vz_contact, vz_air)
-        pz_air = Tensor(x_prev[:, IDX_PZ]) + dt * vz2
-
-        if has_contact:
-            fnext = floor_fn(px2.data) if floor_fn is not None else floor_next
-            fnext = np.asarray(fnext, dtype=np.float64)
-            pz_planted = Tensor(fnext + body.leg_length) + d2
-            planted = contact & (vz2.data <= 0.0)
-            pz2 = ad.where(planted, pz_planted, pz_air)
-        else:
-            pz2 = pz_air
-
-        cols = [px2, pz2, th2, vx2, vz2, om2, d2]
-        return ad.concat([ad.reshape(c, (n, 1)) for c in cols], axis=-1)
+        return ad.node(out, (wrench,), backward)
 
     # -- distribution heads -------------------------------------------------------
 
@@ -269,7 +268,7 @@ class InternalModel(Module):
             for k in range(horizon):
                 dist = self.internal_policy(x, h, z)
                 a_t = dist.sample(rng=rng) if rng is not None else dist.mean
-                a = np.clip(a_t.data, -1.0, 1.0)
+                a = np.minimum(np.maximum(a_t.data, -1.0), 1.0)
                 x, h, z = self.step(x, h, z, a, rng=rng, e=e if k == 0 else None,
                                     floor_fn=floor_fn)
                 states[:, k] = x

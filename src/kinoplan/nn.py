@@ -148,13 +148,7 @@ class GruCell(Module):
         if h.data.shape[-1] != self.hidden_size:
             raise DimensionError(
                 f"gru cell expects hidden size {self.hidden_size}, got {h.data.shape[-1]}")
-        n = self.hidden_size
-        gx = ad.dense(x, self.w_x, self.bias)
-        gh = ad.matmul(h, self.w_h)
-        r = ad.sigmoid(gx[..., 0:n] + gh[..., 0:n])
-        u = ad.sigmoid(gx[..., n:2 * n] + gh[..., n:2 * n])
-        c = ad.tanh(gx[..., 2 * n:] + r * gh[..., 2 * n:])
-        return (1.0 - u) * h + u * c
+        return ad.gru_cell(x, h, self.w_x, self.w_h, self.bias)
 
 
 class Conv1d(Module):

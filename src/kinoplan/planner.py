@@ -430,8 +430,8 @@ class ModelPlannerAdapter:
                 dist = self.actor(obs, h, rollout_flat)
             means[k], stds[k] = dist.mean.data[0], dist.std[0]
             if k + 1 < horizon:     # the plan reads no state after its last action
-                x, h, z = self.model.step(x, h, z, np.clip(dist.mean.data, -1.0, 1.0),
-                                          rng=rng, floor_fn=self.floor_fn)
+                a = np.minimum(np.maximum(dist.mean.data, -1.0), 1.0)
+                x, h, z = self.model.step(x, h, z, a, rng=rng, floor_fn=self.floor_fn)
         plan = GaussianActionPlan(means, np.maximum(stds, self.sigma_floor))
         return self.tick_state, plan
 

@@ -10,7 +10,8 @@ length is ``leg_length + height_offset``.
 
 `advance_state` is the simulator's integrator: `env.step_state` advances
 every env of a batch (or the one env of a `PlanarEnv`) through one call of
-it. `InternalModel.integrate` is its autodiff twin, pinned to it by tests.
+it. `InternalModel.integrate` is its numpy twin with a hand-written gradient
+(no friction, own operation order, so the last bit may differ), tested alike.
 """
 
 from __future__ import annotations

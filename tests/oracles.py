@@ -1,10 +1,16 @@
 """Independent oracles: these implement the expected quantities by a route
 separate from the library code they check (finite differences, closed-form
-densities, a scalar optimizer re-implementation, Riccati recursion)."""
+densities, a scalar optimizer re-implementation, Riccati recursion, and
+composites of autodiff's elementary ops for its one-node ops)."""
 
 import math
 
 import numpy as np
+
+from kinoplan import autodiff as ad
+from kinoplan.autodiff import Tensor
+from kinoplan.state import (IDX_OFFSET, IDX_OMEGA, IDX_PITCH, IDX_PX, IDX_PZ,
+                            IDX_VX, IDX_VZ, foot_height)
 
 
 def numeric_gradient(f, param_data: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -156,3 +162,64 @@ def episode_records(episode: dict) -> list[dict]:
              "x": episode["x"][k], "x_prev": episode["x"][max(k - 1, 0)],
              "x_next": x_after[k], "floor_now": episode["floor_now"][k],
              "floor_next": floor_after[k]} for k in range(n)]
+
+
+def composite_gru_cell(x, h, w_x, w_h, b):
+    """One GRU step, gate order (r, u, c), as a chain of elementary
+    autodiff ops: the reference for `autodiff.gru_cell`."""
+    n = ad.as_tensor(h).data.shape[-1]
+    gx = ad.dense(x, w_x, b)
+    gh = ad.matmul(h, w_h)
+    r = ad.sigmoid(gx[..., 0:n] + gh[..., 0:n])
+    u = ad.sigmoid(gx[..., n:2 * n] + gh[..., n:2 * n])
+    c = ad.tanh(gx[..., 2 * n:] + r * gh[..., 2 * n:])
+    return (1.0 - u) * h + u * c
+
+
+def composite_integrate(body, dt, x_prev, wrench, floor_now=None, floor_next=None,
+                        floor_fn=None):
+    """The model's semi-implicit Euler step with contact, as a chain of
+    elementary autodiff ops on (n,)-columns: the reference for
+    `InternalModel.integrate`."""
+    wrench = ad.astype(wrench, np.float64)
+    g = body.gravity
+    x_prev = np.atleast_2d(np.asarray(x_prev, dtype=np.float64))
+    n = x_prev.shape[0]
+
+    if floor_fn is not None:
+        floor_now = np.asarray(floor_fn(x_prev[:, IDX_PX]))
+    has_contact = floor_now is not None
+    if has_contact:
+        contact = foot_height(x_prev, body) <= np.asarray(floor_now) + body.contact_tol
+    else:
+        contact = np.zeros(n, dtype=bool)
+
+    fx = wrench[:, 0]
+    fz = wrench[:, 1]
+    tau = wrench[:, 2]
+    drate = wrench[:, 3]
+
+    d2 = ad.clip(Tensor(x_prev[:, IDX_OFFSET]) + dt * drate,
+                 body.offset_min, body.offset_max)
+    om2 = Tensor(x_prev[:, IDX_OMEGA]) + (dt / body.inertia) * tau
+    th2 = Tensor(x_prev[:, IDX_PITCH]) + dt * om2
+    vx2 = Tensor(x_prev[:, IDX_VX]) + (dt / body.mass) * fx
+    px2 = Tensor(x_prev[:, IDX_PX]) + dt * vx2
+
+    vz_air = Tensor(x_prev[:, IDX_VZ]) + dt * ((1.0 / body.mass) * fz - g)
+    vz_contact = ad.relu(Tensor(x_prev[:, IDX_VZ])) + dt * ad.relu(
+        (1.0 / body.mass) * fz - g)
+    vz2 = ad.where(contact, vz_contact, vz_air)
+    pz_air = Tensor(x_prev[:, IDX_PZ]) + dt * vz2
+
+    if has_contact:
+        fnext = floor_fn(px2.data) if floor_fn is not None else floor_next
+        fnext = np.asarray(fnext, dtype=np.float64)
+        pz_planted = Tensor(fnext + body.leg_length) + d2
+        planted = contact & (vz2.data <= 0.0)
+        pz2 = ad.where(planted, pz_planted, pz_air)
+    else:
+        pz2 = pz_air
+
+    cols = [px2, pz2, th2, vx2, vz2, om2, d2]
+    return ad.concat([ad.reshape(c, (n, 1)) for c in cols], axis=-1)

@@ -8,7 +8,7 @@ from kinoplan import autodiff as ad
 from kinoplan.autodiff import Tensor
 from kinoplan.errors import DimensionError
 
-from oracles import max_relative_error, numeric_gradient
+from oracles import composite_gru_cell, max_relative_error, numeric_gradient
 
 
 def _check_unary(op, rng, shape=(3, 4), scale=1.0, shift=0.0, tol=1e-6):
@@ -30,7 +30,7 @@ def test_log_gradient(rng):
     passes the same finite-difference check."""
     def log(a):
         a = ad.as_tensor(a)
-        return ad._node(np.log(a.data), (a,), lambda g: (g / a.data,))
+        return ad.node(np.log(a.data), (a,), lambda g: (g / a.data,))
 
     _check_unary(log, rng, scale=0.5, shift=3.0)
 
@@ -269,6 +269,64 @@ def test_dense_rejects_shapes_other_than_rows_by_features():
         ad.dense(Tensor(np.zeros((2, 3))), w, Tensor(np.zeros(3)))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 13, 288])
+def test_gru_cell_matches_composite_bit_for_bit(batch, dtype, rng):
+    """gru_cell gives the value and the x, h, w_x, w_h and b gradients of the
+    GRU step built from elementary ops, with the same bits, while h also
+    feeds a second op whose gradient the tape adds to h's."""
+    n_in, n = 11, 24
+    xd = rng.normal(size=(batch, n_in)).astype(dtype)
+    hd = np.tanh(rng.normal(size=(batch, n))).astype(dtype)
+    hd[0, :3] = [0.0, -0.0, 1.0]
+    wxd = (4.0 * rng.normal(size=(n_in, 3 * n))).astype(dtype)    # saturates gates
+    whd = rng.normal(size=(n, 3 * n)).astype(dtype)
+    bd = rng.normal(size=3 * n).astype(dtype)
+    g = rng.normal(size=(batch, n)).astype(dtype)
+    g[0, :2] = [0.0, -0.0]
+    g_h = rng.normal(size=(batch, n)).astype(dtype)
+    results = []
+    for op in (ad.gru_cell, composite_gru_cell):
+        x, h, w_x, w_h, b = (Tensor(v, requires_grad=True) for v in (xd, hd, wxd, whd, bd))
+        y = op(x, h, w_x, w_h, b)
+        loss = ad.sum_(y * g) + ad.sum_(ad.tanh(h) * g_h)
+        loss.backward()
+        results.append((y.data, x.grad, h.grad, w_x.grad, w_h.grad, b.grad))
+        assert y.data.dtype == dtype and all(r.dtype == dtype for r in results[-1])
+    for got, ref in zip(*results):
+        _same_bits(got, ref)
+
+
+def test_gru_cell_rejects_mismatched_shapes_and_dtypes():
+    x, h = Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4)))
+    w_x, w_h, b = Tensor(np.zeros((3, 12))), Tensor(np.zeros((4, 12))), Tensor(np.zeros(12))
+    assert ad.gru_cell(x, h, w_x, w_h, b).data.shape == (2, 4)
+    for args in ((Tensor(np.zeros((3, 3))), h, w_x, w_h, b),
+                 (x, Tensor(np.zeros(4)), w_x, w_h, b),
+                 (x, h, Tensor(np.zeros((3, 9))), w_h, b),
+                 (x, h, w_x, Tensor(np.zeros((4, 9))), b),
+                 (x, h, w_x, w_h, Tensor(np.zeros(9)))):
+        with pytest.raises(DimensionError):
+            ad.gru_cell(*args)
+    with pytest.raises(DimensionError, match="dtype"):
+        ad.gru_cell(x, Tensor(np.zeros((2, 4), np.float32)), w_x, w_h, b)
+
+
+@pytest.mark.parametrize("on_tape", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_clip_has_the_bits_of_np_clip(dtype, on_tape):
+    """ad.clip takes min(max(x, lo), hi), which has np.clip's bits with
+    nonzero bounds: NaN, signed zeros and infinities included."""
+    tiny = np.finfo(dtype).smallest_subnormal
+    x = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 0.3, -0.2, -0.5, 0.7,
+                  -0.5000001, 0.7000001, 3.0, -3.0], dtype=dtype)
+    for lo, hi in ((-0.5, 0.7), (-0.5, None), (None, 0.7), (0.25, 2.5), (-2.5, -0.25)):
+        t = Tensor(x, requires_grad=on_tape)
+        got = ad.clip(t, lo, hi)
+        assert got.data.dtype == dtype and (got._backward is not None) == on_tape
+        _same_bits(got.data, np.clip(x, lo, hi))
+
+
 def test_sigmoid_matches_reference_bit_for_bit(rng):
     """sigmoid computed in one buffer has the bits of 0.5 * (tanh(0.5 x) + 1),
     value and gradient."""
@@ -429,6 +487,7 @@ OPS = {
     "clip": (lambda a: ad.clip(a, -0.5, 0.7), [(4, 3)]),
     "dense": (ad.dense, [(4, 3), (3, 2), (2,)]),
     "dense elu": (lambda x, w, b: ad.dense(x, w, b, elu=True), [(4, 3), (3, 2), (2,)]),
+    "gru_cell": (ad.gru_cell, [(4, 3), (4, 2), (3, 6), (2, 6), (6,)]),
     "where": (lambda a, b: ad.where(MASK, a, b), [(4, 3), (4, 3)]),
     "where scalar": (lambda a, b: ad.where(MASK, a, b), [(4, 3), 0.0]),
     "minimum": (ad.minimum, [(4, 3), (4, 3)]),

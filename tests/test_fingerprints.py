@@ -1,6 +1,6 @@
 """Smoke-size fingerprints: the parameters after three training iterations
 and one planner and one policy episode of the trained agent, pinned bit for
-bit on two seeds.
+bit on two seeds of flat ground and one of jittered stairs.
 
 A refactor keeps these values. A deliberate behaviour change (a simulator
 fix, a PPO step-size rule, a network dtype) updates them in its own change,
@@ -25,14 +25,22 @@ FINGERPRINTS = {
         (22.656105328639928, 18), (15.33055990820513, 13)),
 }
 
+# Stairs at level 2 with jitter, where the model trains from the first
+# iteration on and the floor lookup leaves flat ground.
+STAIRS = {"terrain_kind": "stairs", "terrain_level": 2, "terrain_jitter": True}
+STAIRS_FINGERPRINTS = {
+    2: (("f407a881b618", "d60e849a4309", "42c64896bb69"),
+        (58.28573765499259, 76), (50.349505281191504, 81)),
+}
 
-@pytest.mark.parametrize("seed", sorted(FINGERPRINTS))
-def test_smoke_fingerprints(tmp_path, seed):
-    checksums, planner, policy = FINGERPRINTS[seed]
-    cfg = smoke_config(seed)
+
+def _check_fingerprint(tmp_path, seed, expected, cfg, model_updates=False):
+    checksums, planner, policy = expected
     tr = Trainer(cfg, str(tmp_path / "run"))
     for _ in range(3):
-        tr.run_iteration()
+        row = tr.run_iteration()
+        if model_updates:
+            assert row["model_updates"] > 0
     assert tuple(param_checksum(m)[:12] for m in (tr.model, tr.actor, tr.critic)) \
         == checksums
 
@@ -41,3 +49,14 @@ def test_smoke_fingerprints(tmp_path, seed):
         out = run(PlanarEnv(cfg.env, seed=seed), tr.model, tr.actor, cfg, level,
                   np.random.default_rng(seed))
         assert (out.episode_return, out.steps) == expected, run.__name__
+
+
+@pytest.mark.parametrize("seed", sorted(FINGERPRINTS))
+def test_smoke_fingerprints(tmp_path, seed):
+    _check_fingerprint(tmp_path, seed, FINGERPRINTS[seed], smoke_config(seed))
+
+
+@pytest.mark.parametrize("seed", sorted(STAIRS_FINGERPRINTS))
+def test_stairs_fingerprints(tmp_path, seed):
+    _check_fingerprint(tmp_path, seed, STAIRS_FINGERPRINTS[seed],
+                       smoke_config(seed, env=STAIRS), model_updates=True)

@@ -1,6 +1,7 @@
 """Internal model: embedding, posterior/prior branches, imagination loop,
 and the combined training loss."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from kinoplan.state import (BodyParams, ModelState, X_DIM, advance_state,
                             x_features)
 from kinoplan.terrain import build_terrain
 
-from oracles import max_relative_error, numeric_gradient
+from oracles import composite_integrate, max_relative_error, numeric_gradient
 
 CFG = ModelConfig(d_h=24, d_z=6, d_e=16, embed_hidden=16, head_hidden=16,
                   decoder_hidden=24, imagination_horizon=4)
@@ -181,6 +182,61 @@ def test_prior_integrator_matches_shared_integrator(model, rng):
             want = advance_state(x_prev, wrench, CFG.dt_model, BODY,
                                  floor_at=terrain.floor_height)
             assert np.max(np.abs(got - want)) < 1e-12, kind
+
+
+def _same_bits(got, ref):
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def test_integrate_matches_composite_bit_for_bit(rng):
+    """integrate gives the value and the wrench gradient of the same step
+    built from elementary ops, with the same bits: on every terrain,
+    with feet planted, just above the floor and airborne, the offset clip
+    saturated at both ends, in free flight, and with the floor given as a
+    lookup or as the arrays of a training batch. A body whose dt / inertia
+    and 1 / mass are not 1 keeps every product's rounding visible."""
+    body = BodyParams(mass=1.3, inertia=0.07)
+    model = InternalModel(CFG, body, rng)
+    n = 12
+    lift = np.array([0.0, 0.0, 0.0, 0.0, -0.004, 0.004, 0.02, 0.3, 0.0, 0.0, 0.0, 0.0])
+    for kind in ("flat", "slope", "stairs", "gap"):
+        terrain = build_terrain(kind, 4)
+        for _ in range(6):
+            x_prev = rng.normal(size=(n, X_DIM)) * 0.5
+            x_prev[:, 0] = rng.uniform(-1.0, 7.0, size=n)
+            x_prev[:, 6] = rng.uniform(body.offset_min, body.offset_max, size=n)
+            x_prev[:, 1] = (terrain.floor_height(x_prev[:, 0]) + body.leg_length
+                            + x_prev[:, 6] + lift)
+            x_prev[:4, 4] = [-0.5, 0.0, -0.0, 0.5]         # planted unless lifting off
+            wrench = (rng.normal(size=(n, 4)) * [5.0, 15.0, 5.0, 1.0]).astype(np.float32)
+            wrench[8:, 3] = [40.0, -40.0, 40.0, -40.0]      # the offset clip at both ends
+            wrench[:2, 1] = [0.0, -0.0]
+            g = rng.normal(size=(n, X_DIM))
+            g[0] = 0.0
+            g[1] = -0.0
+            floors = {"free flight": {},
+                      "floor_fn": {"floor_fn": terrain.floor_height},
+                      "floor arrays": {"floor_now": terrain.floor_height(x_prev[:, 0]),
+                                       "floor_next": terrain.floor_height(
+                                           x_prev[:, 0] + 0.1 * x_prev[:, 3])}}
+            # a float64 wrench shows the float64 gradient before its cast
+            for (name, floor), dtype in itertools.product(floors.items(),
+                                                         (np.float32, np.float64)):
+                results = []
+                for step in (model.integrate, lambda *a, **k: composite_integrate(
+                        body, CFG.dt_model, *a, **k)):
+                    w = Tensor(wrench.astype(dtype), requires_grad=True)
+                    y = step(x_prev, w, **floor)
+                    y.backward(g)
+                    results.append((y.data, w.grad))
+                for got, ref in zip(*results):
+                    _same_bits(got, ref)
+                assert results[0][1].dtype == dtype, (kind, name)
+                with ad.no_grad():
+                    off = model.integrate(x_prev, Tensor(wrench, requires_grad=True), **floor)
+                assert off._parents == () and off.data.tobytes() == results[0][0].tobytes()
 
 
 def test_prior_wrench_gradient(model, rng):
