@@ -5,21 +5,20 @@ parents and a closure that routes the incoming gradient to them. Only the
 operations this package actually uses are implemented. Gradients for a
 scalar loss are obtained with ``loss.backward()``.
 
-Every tensor keeps its own float dtype, and ops follow numpy 2's promotion
-rules (NEP 50): a Python scalar takes the other operand's dtype, while an
-array or a tensor of a wider dtype widens the result. A gradient arrives in
-each tensor's own dtype. Two rules keep a narrow network narrow: `astype` is
-the one op that changes a dtype on purpose, and an op refuses a constant
-operand (an array, or a tensor off the tape) that would widen an operand on
-the tape, which is how a float64 array leaking into a float32 network shows
-up.
+The dtype rule: every tensor keeps its own float dtype, and all tensor
+operands of an op on the tape share one dtype. A Python scalar adopts that
+dtype, as in numpy 2 (NEP 50), so `0.5 * x` keeps a float32 x float32.
+`astype` is the only conversion; its backward casts the gradient back, so a
+gradient arrives in each tensor's own dtype. An op on the tape refuses an
+operand of another dtype, which is how a float64 array leaking into a
+float32 network shows up.
 
 Off the tape, an op skips the tape machinery. When no operand is on the tape
 (always so under `no_grad`, where all inference runs), an op reads its
 operands' arrays, does the numpy work and wraps the result in a bare tensor:
-no operand coercion, no constructor checks and no dtype bookkeeping, and
-`constant_as` is a cast only. It keeps the shape checks, and dense, matmul and
-gru_cell still compare their operands' dtypes, so a float64 constant in a
+no operand coercion, no constructor checks and no dtype check in the
+elementwise ops. It keeps the shape checks, and dense, matmul, gru_cell and
+conv1d still compare their operands' dtypes, so a float64 array handed to a
 float32 layer is refused there too. Results have the tape's dtype and bits.
 
 Two ops are one tape node each for a chain of this module's ops: `dense` (a
@@ -116,8 +115,6 @@ class Tensor:
             for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None:
                     continue
-                if pg.dtype != parent.data.dtype:   # a promoted op, or astype
-                    pg = pg.astype(parent.data.dtype)
                 key = id(parent)
                 if key in grads:
                     grads[key] = grads[key] + pg
@@ -154,18 +151,8 @@ def _const(data) -> Tensor:
     return out
 
 
-def constant_as(x, dtype) -> Tensor:
-    """`x` as a tensor, in `dtype` if it is a constant (an array, or a tensor
-    off the tape). A tensor on the tape keeps its dtype, so a float64
-    gradient check through a float32 layer runs in float64."""
-    if isinstance(x, Tensor) and (x.data.dtype == dtype or _tracked(x)):
-        return x
-    return _const(np.asarray(_data(x), dtype=dtype))
-
-
 def _pair(a, b) -> tuple[Tensor, Tensor]:
-    """Both operands as tensors. A Python scalar takes the other operand's
-    dtype, as it does in numpy, so `0.5 * x` keeps a float32 x float32."""
+    """Both operands as tensors; a Python scalar adopts the other's dtype."""
     if type(a) in (int, float):
         b = as_tensor(b)
         return Tensor(np.asarray(a, dtype=b.data.dtype)), b
@@ -176,32 +163,32 @@ def _pair(a, b) -> tuple[Tensor, Tensor]:
 
 
 def _tracked(*tensors) -> bool:
-    """Whether an operand is on the tape. An op tests _GRAD_ENABLED before
-    calling it, which spares the call under no_grad."""
-    if not _GRAD_ENABLED:
-        return False
+    """Whether an operand is on the tape. Callers test _GRAD_ENABLED first,
+    which spares the call under no_grad."""
     return any(isinstance(t, Tensor) and (t.requires_grad or t._parents or t._backward)
                for t in tensors)
 
 
 def node(data, parents, backward) -> Tensor:
     """A tape node (`backward(g)` gives one gradient or None per parent), or
-    a bare tensor when no parent is on the tape."""
-    tape = [p.data.dtype for p in parents if _tracked(p)]
-    if not tape:
+    a bare tensor when no parent is on the tape. Every parent must have the
+    result's dtype."""
+    if not (_GRAD_ENABLED and _tracked(*parents)):
         return _const(data)
     out = Tensor(data)
-    if out.data.dtype not in tape:
-        raise DimensionError(f"a constant operand widened a {tape[0]} tensor on the tape "
-                             f"to {out.data.dtype}; cast the constant first")
+    dtype = out.data.dtype
+    for p in parents:
+        if p.data.dtype != dtype:
+            raise DimensionError(f"a {p.data.dtype} operand widened an op on the tape to "
+                                 f"{dtype}; cast it with astype first")
     out._parents = tuple(parents)
     out._backward = backward
     return out
 
 
 def _mixed_dtypes(*arrays) -> DimensionError:
-    """dense, matmul and gru_cell compute in one dtype: off the tape their
-    operands must agree (on the tape, node lets only a tape operand widen)."""
+    """dense, matmul, gru_cell and conv1d compute in one dtype: off the tape
+    their operands must agree (on the tape, node refuses the mix)."""
     return DimensionError(f"operands of different dtypes: {[a.dtype.name for a in arrays]}")
 
 
@@ -286,14 +273,14 @@ def matmul(a, b) -> Tensor:
 
 
 def astype(a, dtype) -> Tensor:
-    """`a` in `dtype`: the one op that changes a dtype on purpose. Its
-    gradient flows back in a's own dtype."""
+    """`a` in `dtype`: the one op that changes a dtype. Its gradient flows
+    back cast to a's own dtype."""
     a = as_tensor(a)
     if a.data.dtype == dtype:
         return a
     out = _const(a.data.astype(dtype))
-    if _tracked(a):
-        out._parents, out._backward = (a,), lambda g: (g,)
+    if _GRAD_ENABLED and _tracked(a):
+        out._parents, out._backward = (a,), lambda g: (g.astype(a.data.dtype),)
     return out
 
 
@@ -531,11 +518,14 @@ def conv1d(x, w, b, stride: int = 1) -> Tensor:
         raise DimensionError(f"conv1d input length {length} < kernel {k}")
     l_out = (length - k) // stride + 1
 
+    tracked = _GRAD_ENABLED and _tracked(x, w, b)
+    if not tracked and not xd.dtype == wd.dtype == bd.dtype:
+        raise _mixed_dtypes(xd, wd, bd)
     s0, s1, s2 = xd.strides
     windows = np.lib.stride_tricks.as_strided(
         xd, shape=(bsz, c_in, l_out, k), strides=(s0, s1, s2 * stride, s2))
     data = np.einsum("bilk,oik->bol", windows, wd, optimize=True) + bd[None, :, None]
-    if not (_GRAD_ENABLED and _tracked(x, w, b)):
+    if not tracked:
         return _const(data)
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
 

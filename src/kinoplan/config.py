@@ -53,6 +53,16 @@ class TrainSettings:
             raise ConfigError("train.gamma", "must lie in (0, 1)")
         if not 0.0 <= self.gae_lambda <= 1.0:
             raise ConfigError("train.gae_lambda", "must lie in [0, 1]")
+        # written `not x > 0` so that NaN fails too; a negative clip norm
+        # would flip the sign of every gradient
+        for name in ("learning_rate", "grad_clip_model", "grad_clip_ac"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(f"train.{name}", "must be positive")
+        if not 0.0 < self.clip_ratio < 1.0:
+            raise ConfigError("train.clip_ratio", "must lie in (0, 1)")
+        for name in ("entropy_coef", "model_updates_per_iteration"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"train.{name}", "must be >= 0")
         return self
 
 
@@ -139,6 +149,8 @@ class ExperimentConfig:
                      "head_hidden", "decoder_hidden"):
             if getattr(self.model, name) < 1:
                 raise ConfigError(f"model.{name}", "must be >= 1")
+        if not self.model.beta_kl >= 0.0:
+            raise ConfigError("model.beta_kl", "must be >= 0")
         if env.scan_every != int(round(self.model.dt_model / env.dt)):
             raise ConfigError(
                 "model.dt_model", "model timestep must equal env.dt * env.scan_every "

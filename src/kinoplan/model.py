@@ -16,7 +16,9 @@ the observation, roll H steps with the internal policy (the first through
 the encoder) and return the post-encoder state with the imagined rollout
 relative to it. Training collection, policy evaluation and the planner
 adapter all call these two; `model_loss` is the training-time path. The
-floor lookup is an explicit `floor_fn` argument, never model state.
+floor lookup is an explicit `floor_fn` argument, never model state. The
+public methods cast their network inputs to the model's dtype once; the
+layers below them do not cast.
 
 The model takes the env's observation and action layout from `env`'s
 constants (HISTORY_SIZE proprio columns, then SCAN_RAYS readings scaled by
@@ -94,12 +96,17 @@ class InternalModel(Module):
         self.policy_head = GaussianHead(ydim, ACTION_DIM, [cfg.head_hidden], rng)
         self.cast(NET_DTYPE)
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The networks' dtype: NET_DTYPE, or what `cast` gave them."""
+        return self.gru.w_x.data.dtype
+
     # -- observation handling ---------------------------------------------------
 
     def obs_target(self, obs_flat: np.ndarray) -> np.ndarray:
         """Normalized observation vector (scan scaled into [0, 1]) used as the
         embedding input and the reconstruction target."""
-        out = np.array(obs_flat, dtype=NET_DTYPE)
+        out = np.array(obs_flat, dtype=self.dtype)
         if out.shape[-1] != OBS_DIM:
             raise DimensionError(
                 f"observation length {out.shape[-1]} != expected {OBS_DIM}")
@@ -128,34 +135,28 @@ class InternalModel(Module):
         return ad.concat([px, pz, raw[:, IDX_PITCH:]], axis=-1)
 
     def posterior_x(self, e: Tensor, h: Tensor, x_prev: np.ndarray) -> Tensor:
-        e, h = ad.constant_as(e, NET_DTYPE), ad.constant_as(h, NET_DTYPE)
+        e, h = ad.astype(e, self.dtype), ad.astype(h, self.dtype)
         raw = ad.astype(self.post_x(ad.concat([e, h], axis=-1)), np.float64)
         return self._assemble_x(raw, x_prev)
 
     def posterior_update(self, e, h_next, x_prev, rng=None, noise=None):
         """Encoder branch: sample z from the posterior, estimate x from (e, h)."""
-        e, h_next = ad.constant_as(e, NET_DTYPE), ad.constant_as(h_next, NET_DTYPE)
+        e, h_next = ad.astype(e, self.dtype), ad.astype(h_next, self.dtype)
         dist = self.post_z(ad.concat([e, h_next], axis=-1))
         # zero noise: mean + 0.0 has the bits of mean + std * 0 (std is finite)
         z = dist.mean + 0.0 if rng is None and noise is None else dist.sample(rng, noise)
         x = self.posterior_x(e, h_next, x_prev)
         return z, dist, x
 
-    def prior_update(self, x_prev, h_next, rng=None, noise=None,
-                     floor_now=None, floor_next=None, floor_fn=None):
-        """Dynamics branch: sample z from the prior; advance x by the learned
-        wrench through the semi-implicit integrator with contact mode.
-
-        The floor heights come from `floor_fn` (a terrain lookup, inference)
-        or from `floor_now`/`floor_next` (the heights stored with a training
-        batch); with neither, the body is in free flight.
-        """
-        h_next = ad.constant_as(h_next, NET_DTYPE)
+    def prior_update(self, x_prev, h_next, rng=None, floor_fn=None):
+        """Dynamics branch: sample z from the prior (its mean with rng None);
+        advance x by the learned wrench through the semi-implicit integrator
+        with contact mode. The floor heights come from the terrain lookup
+        `floor_fn`; without it, the body is in free flight."""
+        h_next = ad.astype(h_next, self.dtype)
         dist = self.prior_z(h_next)
-        z = dist.mean + 0.0 if rng is None and noise is None else dist.sample(rng, noise)
-        wrench = self.wrench(h_next)
-        x = self.integrate(np.atleast_2d(x_prev), wrench, floor_now, floor_next,
-                           floor_fn)
+        z = dist.mean + 0.0 if rng is None else dist.sample(rng)
+        x = self.integrate(np.atleast_2d(x_prev), self.wrench(h_next), floor_fn=floor_fn)
         return z, dist, x
 
     def integrate(self, x_prev: np.ndarray, wrench: Tensor,
@@ -214,12 +215,12 @@ class InternalModel(Module):
     # -- distribution heads -------------------------------------------------------
 
     def _y_input(self, x, h, z) -> Tensor:
-        feats = x_features(np.atleast_2d(x)).astype(NET_DTYPE)
-        h, z = ad.constant_as(h, NET_DTYPE), ad.constant_as(z, NET_DTYPE)
-        return ad.concat([Tensor(feats), h, z], axis=-1)
+        dtype = self.dtype
+        feats = Tensor(x_features(np.atleast_2d(x)).astype(dtype))
+        return ad.concat([feats, ad.astype(h, dtype), ad.astype(z, dtype)], axis=-1)
 
     def predict_reward(self, x, h, z, action) -> DiagonalGaussian:
-        a = ad.constant_as(action, NET_DTYPE)
+        a = ad.astype(action, self.dtype)
         return self.reward_head(ad.concat([self._y_input(x, h, z), a], axis=-1))
 
     def predict_value(self, x, h, z) -> DiagonalGaussian:
@@ -238,9 +239,10 @@ class InternalModel(Module):
 
         Returns the next (x, h, z) as arrays.
         """
-        gin = np.concatenate([x_features(x), z, a], axis=-1, dtype=NET_DTYPE)
+        dtype = self.dtype
+        gin = np.concatenate([x_features(x), z, a], axis=-1, dtype=dtype)
         with no_grad():
-            h_next = self.gru(Tensor(gin), Tensor(h)).data
+            h_next = self.gru(Tensor(gin), ad.astype(h, dtype)).data
             if e is not None:
                 z_next, _, x_next = self.posterior_update(e, h_next, x, rng=rng)
             else:
@@ -260,8 +262,8 @@ class InternalModel(Module):
         if horizon < 1:
             raise ValueError(f"imagination horizon must be >= 1, got {horizon}")
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        h = np.atleast_2d(np.asarray(h, dtype=NET_DTYPE))
-        z = np.atleast_2d(np.asarray(z, dtype=NET_DTYPE))
+        h = np.atleast_2d(np.asarray(h, dtype=self.dtype))
+        z = np.atleast_2d(np.asarray(z, dtype=self.dtype))
         states = np.zeros((x.shape[0], horizon, X_DIM))
         actions = np.zeros((x.shape[0], horizon, ACTION_DIM))
         with no_grad():
@@ -297,10 +299,11 @@ class InternalModel(Module):
         for name in _BATCH_FIELDS:
             if name not in batch:
                 raise DataError(f"batch missing field '{name}'")
-        obs = np.asarray(batch["obs"], dtype=NET_DTYPE)
-        action = np.asarray(batch["action"], dtype=NET_DTYPE)
-        reward = np.asarray(batch["reward"], dtype=NET_DTYPE)
-        value_t = np.asarray(batch["value_target"], dtype=NET_DTYPE)
+        dtype = self.dtype
+        obs = np.asarray(batch["obs"], dtype=dtype)
+        action = np.asarray(batch["action"], dtype=dtype)
+        reward = np.asarray(batch["reward"], dtype=dtype)
+        value_t = np.asarray(batch["value_target"], dtype=dtype)
         x_sim = np.asarray(batch["x"], dtype=np.float64)
         x_next_sim = np.asarray(batch["x_next"], dtype=np.float64)
         x_prev0 = np.asarray(batch["x_prev"], dtype=np.float64)
@@ -308,7 +311,7 @@ class InternalModel(Module):
         floor_next = np.asarray(batch["floor_next"], dtype=np.float64)
         bsz, L = reward.shape
 
-        h = Tensor(np.zeros((bsz, self.cfg.d_h), dtype=NET_DTYPE))
+        h = Tensor(np.zeros((bsz, self.cfg.d_h), dtype=dtype))
         totals = {k: None for k in LOSS_TERMS}
 
         def accumulate(key, value):
@@ -321,7 +324,7 @@ class InternalModel(Module):
             prior = self.prior_z(h)
             z_t = post.sample(noise=rng.standard_normal(post.mean.data.shape))
             a_t = action[:, t]
-            y_t = ad.concat([Tensor(x_features(x_sim[:, t]).astype(NET_DTYPE)), h, z_t],
+            y_t = ad.concat([Tensor(x_features(x_sim[:, t]).astype(dtype)), h, z_t],
                             axis=-1)
 
             accumulate("reward_nll", -ad.mean(
@@ -340,12 +343,11 @@ class InternalModel(Module):
 
             h_next = self.gru(
                 Tensor(np.concatenate([x_features(x_sim[:, t]), z_t.data, a_t], axis=-1,
-                                      dtype=NET_DTYPE)),
+                                      dtype=dtype)),
                 h)
             # the prior state prediction conditions on the post-action memory
-            _, _, x_hat_next = self.prior_update(
-                x_sim[:, t], h_next, noise=np.zeros((bsz, self.cfg.d_z)),
-                floor_now=floor_now[:, t], floor_next=floor_next[:, t])
+            x_hat_next = self.integrate(x_sim[:, t], self.wrench(h_next),
+                                        floor_now[:, t], floor_next[:, t])
             com = com + ad.mean(ad.sum_(ad.square(x_hat_next - x_next_sim[:, t]), axis=-1))
             accumulate("com", com)
             h = h_next

@@ -3,16 +3,13 @@
 Everything is built on the tape in autodiff.py. Initialization draws from an
 explicit numpy Generator so a seed fully determines the parameters.
 
-The dtype rule: the networks (the internal model, the actor and the critic)
-are float32 -- parameters, activations, gradients and Adam moments. The
+The networks (the internal model, the actor and the critic) are NET_DTYPE,
+float32: parameters, activations, gradients and Adam moments. The
 kinodynamic state and its integrators, the env, rewards, GAE and the
 planner's arithmetic are float64. A layer draws its initial parameters in
-float64 and a network casts them to NET_DTYPE once, so a seed draws the
-same stream at either width. Dense, GruCell and Conv1d cast a constant
-input to their own dtype: an array, or a tensor off the tape, which under
-`no_grad` is every tensor. A tensor on the tape keeps its dtype, so a
-float64 one runs the layer in float64, as a gradient check does. A
-network output that enters the state is cast to float64 with `ad.astype`.
+float64 and a network casts them to NET_DTYPE once, so a seed draws the same
+stream at either width. Layers do not cast: a network's entry points cast
+their inputs once, and autodiff's dtype rule refuses a mix.
 """
 
 from __future__ import annotations
@@ -100,7 +97,6 @@ class Dense(Module):
         self.bias = Tensor(np.zeros(out_size), requires_grad=True)
 
     def forward(self, x) -> Tensor:
-        x = ad.constant_as(x, self.weight.data.dtype)
         return ad.dense(x, self.weight, self.bias, elu=self.elu)
 
 
@@ -140,14 +136,12 @@ class GruCell(Module):
         self.bias = Tensor(np.zeros(3 * hidden_size), requires_grad=True)
 
     def forward(self, x, h) -> Tensor:
-        dtype = self.w_x.data.dtype
-        x, h = ad.constant_as(x, dtype), ad.constant_as(h, dtype)
-        if x.data.shape[-1] != self.input_size:
+        if x.shape[-1] != self.input_size:
             raise DimensionError(
-                f"gru cell expects input size {self.input_size}, got {x.data.shape[-1]}")
-        if h.data.shape[-1] != self.hidden_size:
+                f"gru cell expects input size {self.input_size}, got {x.shape[-1]}")
+        if h.shape[-1] != self.hidden_size:
             raise DimensionError(
-                f"gru cell expects hidden size {self.hidden_size}, got {h.data.shape[-1]}")
+                f"gru cell expects hidden size {self.hidden_size}, got {h.shape[-1]}")
         return ad.gru_cell(x, h, self.w_x, self.w_h, self.bias)
 
 
@@ -169,7 +163,6 @@ class Conv1d(Module):
         return (length - self.kernel) // self.stride + 1
 
     def forward(self, x) -> Tensor:
-        x = ad.constant_as(x, self.weight.data.dtype)
         return ad.elu(ad.conv1d(x, self.weight, self.bias, self.stride))
 
 
@@ -196,16 +189,12 @@ class DiagonalGaussian:
     def std(self) -> np.ndarray:
         return np.exp(self.log_std.data)
 
-    def _check(self, value) -> Tensor:
-        value = ad.constant_as(value, self.mean.data.dtype)
-        if value.data.shape[-1] != self.dim:
-            raise DimensionError(
-                f"sample length {value.data.shape[-1]} != distribution length {self.dim}")
-        return value
-
     def log_prob(self, value) -> Tensor:
-        value = self._check(value)
-        z = (value - self.mean) * ad.exp(-self.log_std)
+        """Log-density of `value`, an array or a tensor of the distribution's dtype."""
+        if value.shape[-1] != self.dim:
+            raise DimensionError(
+                f"sample length {value.shape[-1]} != distribution length {self.dim}")
+        z = ad.sub(value, self.mean) * ad.exp(-self.log_std)   # not `-`: value may be an ndarray
         terms = -0.5 * ad.square(z) - self.log_std - 0.5 * _LOG_2PI
         return ad.sum_(terms, axis=-1)
 

@@ -4,7 +4,7 @@ Both consume the observation plus stop-gradient copies of the recurrent
 memory h and the flattened imagined rollout; the critic additionally sees
 privileged simulator information. Actions live in the normalized box
 [-1, 1]^m; the environment maps them onto physical wrench bounds. Each
-network casts its inputs to NET_DTYPE as it concatenates them.
+forward casts its inputs to NET_DTYPE once, as it concatenates them.
 """
 
 from __future__ import annotations

@@ -346,14 +346,14 @@ def ppo_update(batch: RolloutBatch, actor: Actor, critic: Critic, optimizer: Ada
                grad_clip: float = 1.0) -> dict:
     """Clipped-surrogate PPO over the flattened batch, advantages normalized;
     the internal model is untouched by construction (h/rollout enter as constants).
-    The GAE targets enter the loss in NET_DTYPE."""
+    The actions and the GAE targets enter the loss in NET_DTYPE."""
     T, B = batch.rewards.shape
     n = T * B
     obs = batch.obs.reshape(n, -1)
     priv = batch.priv.reshape(n, -1)
     h = batch.h.reshape(n, -1)
     roll = batch.rollout.reshape(n, -1)
-    actions = batch.actions.reshape(n, -1)
+    actions = batch.actions.reshape(n, -1).astype(NET_DTYPE, copy=False)
     logp_old = batch.log_probs.reshape(n).astype(NET_DTYPE, copy=False)
     adv = batch.advantages.reshape(n)
     adv = ((adv - adv.mean()) / (adv.std() + 1e-8)).astype(NET_DTYPE)

@@ -399,12 +399,17 @@ def test_ops_keep_float32_and_python_scalars_do_not_widen(rng):
         assert t.grad.dtype == F32
 
 
-def test_backward_casts_each_gradient_to_its_tensors_dtype(rng):
-    """A float64 tape tensor may widen a float32 one; each gradient still
-    arrives in its own tensor's dtype, with the float64 value rounded."""
+def test_tape_operands_of_two_dtypes_are_refused_and_astype_casts_back(rng):
+    """All tensor operands of an op on the tape share one dtype: a float32
+    and a float64 tensor, on the tape or off it, do not meet unless one is
+    cast with astype, whose backward rounds the float64 gradient back."""
     a = Tensor(rng.normal(size=3).astype(F32), requires_grad=True)
     c = Tensor(rng.normal(size=3), requires_grad=True)
-    y = ad.sum_(a * c)
+    for u, v in ((a, c), (c, a), (a, c.data), (c, a.data), (a.data, c), (c.data, a)):
+        for op in (ad.add, ad.sub, ad.mul, lambda u, v: ad.concat([u, v])):
+            with pytest.raises(DimensionError, match="widened"):
+                op(u, v)
+    y = ad.sum_(ad.astype(a, np.float64) * c)
     assert y.data.dtype == np.float64
     y.backward()
     assert a.grad.dtype == F32 and c.grad.dtype == np.float64
@@ -523,15 +528,3 @@ def test_off_tape_result_has_the_dtype_and_bits_of_the_tape_result(name, dtype, 
         assert out.data.dtype == tape.data.dtype
         assert out.data.tobytes() == tape.data.tobytes()
         assert out._parents == () and out._backward is None and not out.requires_grad
-
-
-def test_constant_as_off_the_tape_is_a_cast(rng):
-    x = rng.normal(size=(2, 3))
-    t = Tensor(x, requires_grad=True)
-    with ad.no_grad():
-        cast = ad.constant_as(t, F32)
-    assert cast.data.tobytes() == x.astype(F32).tobytes() and cast._parents == ()
-    assert ad.constant_as(t, F32) is t                # on the tape it keeps its dtype
-    same = Tensor(x.astype(F32))
-    assert ad.constant_as(same, F32) is same
-    assert ad.constant_as(x, F32).data.tobytes() == x.astype(F32).tobytes()

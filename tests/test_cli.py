@@ -139,6 +139,21 @@ def test_train_window_fields_must_be_positive(tmp_path, capsys, name):
     ("model", "head_hidden", 0),
     ("model", "decoder_hidden", 0),
     ("planner", "penalty_weight", -1.0),
+    ("model", "beta_kl", -0.5),
+    ("model", "beta_kl", float("nan")),
+    ("train", "learning_rate", 0.0),
+    ("train", "learning_rate", -1e-4),
+    ("train", "learning_rate", float("nan")),
+    ("train", "clip_ratio", 0.0),
+    ("train", "clip_ratio", 1.0),
+    ("train", "clip_ratio", float("nan")),
+    ("train", "entropy_coef", -0.01),
+    ("train", "entropy_coef", float("nan")),
+    ("train", "model_updates_per_iteration", -1),
+    ("train", "grad_clip_model", -1.0),
+    ("train", "grad_clip_model", 0.0),
+    ("train", "grad_clip_ac", -1.0),
+    ("train", "grad_clip_ac", float("nan")),
 ])
 def test_malformed_config_exits_2_with_field(tmp_path, capsys, section, name, value):
     """Each malformed value is a ConfigError naming its field, raised when

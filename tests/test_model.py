@@ -1,18 +1,24 @@
 """Internal model: embedding, posterior/prior branches, imagination loop,
 and the combined training loss."""
 
+import contextlib
+import hashlib
 import itertools
+import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from kinoplan import autodiff as ad
 from kinoplan.autodiff import Tensor
-from kinoplan.env import HISTORY_SIZE, OBS_DIM, SCAN_MAX_RANGE, SCAN_RAYS
+from kinoplan.env import (ACTION_DIM, HISTORY_SIZE, OBS_DIM, PRIV_EXTRA_DIM,
+                          SCAN_MAX_RANGE, SCAN_RAYS)
 from kinoplan.errors import DataError, DimensionError, TrainingError
 from kinoplan.model import InternalModel, ModelConfig
 from kinoplan.nn import Adam
+from kinoplan.policy import Actor, Critic
 from kinoplan.state import (BodyParams, ModelState, X_DIM, advance_state,
                             x_features)
 from kinoplan.terrain import build_terrain
@@ -65,6 +71,7 @@ def test_embed_wrong_length_raises(model):
 
 
 def test_embed_gradient_wrt_scan(model, rng):
+    model.cast(np.float64)                            # the precision of the check
     obs = _obs(rng)
     scan = Tensor(obs[:, HISTORY_SIZE:] / SCAN_MAX_RANGE, requires_grad=True)
     proprio = Tensor(obs[:, :HISTORY_SIZE])
@@ -104,6 +111,7 @@ def test_posterior_deterministic_given_noise(model, rng):
 
 
 def test_posterior_mean_gradient(model, rng):
+    model.cast(np.float64)                            # the precision of the check
     obs = _obs(rng)
     h = Tensor(rng.normal(size=(1, CFG.d_h)) * 0.1, requires_grad=True)
     x_prev = np.zeros((1, X_DIM))
@@ -129,7 +137,7 @@ def test_prior_zero_wrench_gravity_off_equilibrium(rng):
     _zero_wrench(model)
     x_prev = np.zeros((1, X_DIM))
     h = rng.normal(size=(1, CFG.d_h)) * 0.1
-    _, _, x = model.prior_update(x_prev, h, noise=np.zeros((1, CFG.d_z)))
+    _, _, x = model.prior_update(x_prev, h)
     assert np.array_equal(x.data, x_prev)
 
 
@@ -139,7 +147,7 @@ def test_prior_zero_wrench_contact_support(model, rng):
     x_prev = np.zeros((1, X_DIM))
     x_prev[0, 1] = BODY.leg_length  # standing, foot on floor
     h = rng.normal(size=(1, CFG.d_h)) * 0.1
-    _, _, x = model.prior_update(x_prev, h, noise=np.zeros((1, CFG.d_z)), floor_fn=floor)
+    _, _, x = model.prior_update(x_prev, h, floor_fn=floor)
     assert x.data[0, 4] == 0.0                                # v_z unchanged
     assert x.data[0, 1] == pytest.approx(BODY.leg_length)     # planted
 
@@ -150,7 +158,7 @@ def test_prior_unit_wrench_semi_implicit(rng):
     model.wrench.layers[-1].bias.data[:] = [1.0, 0.0, 0.0, 0.0]
     x_prev = np.zeros((1, X_DIM))
     h = rng.normal(size=(1, CFG.d_h)) * 0.1
-    _, _, x = model.prior_update(x_prev, h, noise=np.zeros((1, CFG.d_z)))
+    _, _, x = model.prior_update(x_prev, h)
     assert x.data[0, 3] == pytest.approx(0.1)    # v_x = f/m * dt
     assert x.data[0, 0] == pytest.approx(0.01)   # p_x = dt * v_new
 
@@ -372,7 +380,7 @@ def test_model_loss_com_zero_under_injected_perfect_heads(model, rng):
     B = 3
     seed = 77
     with ad.no_grad():
-        h0 = np.zeros((B, CFG.d_h))
+        h0 = np.zeros((B, CFG.d_h), np.float32)
         e = model.embed(batch["obs"][:, 0])
         # the posterior estimate does not depend on the x target itself
         x_hat = model.posterior_x(e, Tensor(h0), batch["x_prev"]).data
@@ -381,15 +389,40 @@ def test_model_loss_com_zero_under_injected_perfect_heads(model, rng):
         z = post.sample(noise=np.random.default_rng(seed)
                         .standard_normal((B, CFG.d_z)))
         gin = np.concatenate([x_features(batch["x"][:, 0]), z.data,
-                              batch["action"][:, 0]], axis=-1)
-        h1 = model.gru(Tensor(gin), Tensor(h0)).data
-        _, _, x_next = model.prior_update(
-            batch["x"][:, 0], h1, noise=np.zeros((B, CFG.d_z)),
-            floor_now=batch["floor_now"][:, 0],
-            floor_next=batch["floor_next"][:, 0])
+                              batch["action"][:, 0]], axis=-1, dtype=np.float32)
+        h1 = model.gru(Tensor(gin), Tensor(h0))
+        x_next = model.integrate(batch["x"][:, 0], model.wrench(h1),
+                                 batch["floor_now"][:, 0], batch["floor_next"][:, 0])
         batch["x_next"][:, 0] = x_next.data
     _, br = model.model_loss(batch, np.random.default_rng(seed))
     assert br["com"] == pytest.approx(0.0, abs=1e-18)
+
+
+def test_model_loss_and_gradients_pinned_at_full_size():
+    """One default-config model update (B=16, L=16, half the records on
+    the floor): the loss breakdown and every parameter gradient, pinned bit
+    for bit by a SHA-256 in parameter-name order."""
+    rng = np.random.default_rng(2024)
+    model = InternalModel(ModelConfig(), BODY, rng)
+    B, L = 16, 16
+    x = rng.normal(size=(B, L, X_DIM)) * 0.2
+    x[..., 6] = rng.uniform(BODY.offset_min, BODY.offset_max, size=(B, L))
+    # on the floor (0) in even rows, in the air in odd ones
+    x[..., 1] = BODY.leg_length + x[..., 6] + np.where(np.arange(B) % 2, 0.3, 0.0)[:, None]
+    batch = {"obs": _obs(rng, B * L).reshape(B, L, OBS_DIM),
+             "action": rng.uniform(-1, 1, size=(B, L, ModelConfig().action_dim)),
+             "reward": rng.normal(size=(B, L)), "value_target": rng.normal(size=(B, L)),
+             "x": x, "x_next": x + rng.normal(size=(B, L, X_DIM)) * 0.05,
+             "x_prev": x[:, 0] - rng.normal(size=(B, X_DIM)) * 0.05,
+             "floor_now": np.zeros((B, L)), "floor_next": np.zeros((B, L))}
+    loss, br = model.model_loss(batch, np.random.default_rng(3))
+    loss.backward()
+    digest = hashlib.sha256(json.dumps(br, sort_keys=True).encode())
+    for name, p in sorted(model.named_parameters().items()):
+        assert p.grad is not None and p.grad.dtype == np.float32, name
+        digest.update(name.encode())
+        digest.update(p.grad.tobytes())
+    assert digest.hexdigest() == "242aee0a32ebe69b1230ecda3d4dc06a9711307cf4ee851a9bc6644313ee1813"
 
 
 def test_model_loss_deterministic_given_rng(model, rng):
@@ -421,6 +454,79 @@ def test_reward_value_heads_deterministic_and_clamped(model, rng):
     assert v.mean.data.shape == (2, 1)
 
 
+# -- entry-point casts ---------------------------------------------------------------
+
+STAIRS_FLOOR = build_terrain("stairs", 2).floor_height
+
+
+def _feats(v):
+    """x's features in the dtype of the other inputs, as a layer takes them."""
+    return x_features(v.x).astype(v.h.dtype)
+
+
+def _gin(v):
+    return np.concatenate([_feats(v), v.z, v.a], axis=-1)
+
+
+# name: (an entry point, the raw layer call it guards); each takes
+# (model, actor, critic, inputs) and returns arrays
+ENTRY_POINTS = {
+    "step prior": (lambda m, ac, cr, v: m.step(v.x, v.h, v.z, v.a, floor_fn=STAIRS_FLOOR),
+                   lambda m, ac, cr, v: m.gru(Tensor(_gin(v)), Tensor(v.h))),
+    "step posterior": (lambda m, ac, cr, v: m.step(v.x, v.h, v.z, v.a, e=v.e),
+                       lambda m, ac, cr, v: m.post_z(np.concatenate([v.e, v.h], axis=-1))),
+    "tick": (lambda m, ac, cr, v: m.tick(v.obs, v.x, v.h, v.z, floor_fn=STAIRS_FLOOR),
+             lambda m, ac, cr, v: m.proprio_enc(v.obs[:, :HISTORY_SIZE])),
+    "predict_reward": (
+        lambda m, ac, cr, v: (lambda d: (d.mean.data, d.log_std.data))(
+            m.predict_reward(v.x, v.h, v.z, v.a)),
+        lambda m, ac, cr, v: m.reward_head(np.concatenate(
+            [_feats(v), v.h, v.z, v.a], axis=-1))),
+    "predict_value": (
+        lambda m, ac, cr, v: (lambda d: (d.mean.data, d.log_std.data))(
+            m.predict_value(v.x, v.h, v.z)),
+        lambda m, ac, cr, v: m.value_head(np.concatenate([_feats(v), v.h, v.z], axis=-1))),
+    "Actor.forward": (
+        lambda m, ac, cr, v: (lambda d: (d.mean.data, d.log_std.data))(
+            ac(v.obs, v.h, v.rollout)),
+        lambda m, ac, cr, v: ac.trunk(np.concatenate([v.obs, v.h, v.rollout], axis=-1))),
+    "Critic.forward": (
+        lambda m, ac, cr, v: (cr(v.priv, v.h, v.rollout).data,),
+        lambda m, ac, cr, v: cr.trunk(np.concatenate([v.priv, v.h, v.rollout], axis=-1))),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_entry_points_cast_float64_inputs_once(name, model, rng):
+    """The layers do not cast, so float64 reaches the networks only through
+    their entry points. There, float64 inputs (env observations, planner
+    action batches, h and z as an episode's zeros start them) give the bits
+    of float32-cast ones; handed straight to a layer, they are refused."""
+    n, horizon = 5, CFG.imagination_horizon
+    actor = Actor(OBS_DIM, CFG.d_h, horizon, ACTION_DIM, rng, hidden=(16,))
+    critic = Critic(OBS_DIM + PRIV_EXTRA_DIM, CFG.d_h, horizon, rng, hidden=(16,))
+    x = rng.normal(size=(n, X_DIM)) * 0.2
+    x[:, 0] = rng.uniform(0.0, 6.0, size=n)
+    x[:, 1] = STAIRS_FLOOR(x[:, 0]) + BODY.leg_length + x[:, 6]      # feet on the floor
+    wide = SimpleNamespace(
+        x=x, h=rng.normal(size=(n, CFG.d_h)) * 0.3, z=rng.normal(size=(n, CFG.d_z)),
+        a=rng.uniform(-1, 1, size=(n, ACTION_DIM)), e=rng.normal(size=(n, CFG.d_e)),
+        obs=_obs(rng, n), rollout=rng.normal(size=(n, horizon * X_DIM)),
+        priv=rng.normal(size=(n, OBS_DIM + PRIV_EXTRA_DIM)))
+    # the state x stays float64: it is the integrators' input, not a network's
+    narrow = SimpleNamespace(**{k: v if k == "x" else v.astype(np.float32)
+                                for k, v in vars(wide).items()})
+    call, layer = ENTRY_POINTS[name]
+    got, want = call(model, actor, critic, wide), call(model, actor, critic, narrow)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        _same_bits(g, w)
+    for off_tape in (contextlib.nullcontext(), ad.no_grad()):
+        with off_tape, pytest.raises(DimensionError, match="dtype|widened"):
+            layer(model, actor, critic, wide)
+        layer(model, actor, critic, narrow)
+
+
 def test_reward_head_constant_target_regression(model, rng):
     """NLL training on constant reward 1 pulls the head mean to 1 +/- 0.05."""
     opt = Adam(model.reward_head.named_parameters(), lr=1e-2)
@@ -428,7 +534,7 @@ def test_reward_head_constant_target_regression(model, rng):
     h = rng.normal(size=(16, CFG.d_h)) * 0.2
     z = rng.normal(size=(16, CFG.d_z)) * 0.2
     a = rng.uniform(-1, 1, size=(16, CFG.action_dim))
-    target = np.ones((16, 1))
+    target = np.ones((16, 1), np.float32)
     for _ in range(800):
         dist = model.predict_reward(x, h, z, a)
         loss = -ad.mean(dist.log_prob(target))
@@ -440,6 +546,7 @@ def test_reward_head_constant_target_regression(model, rng):
 
 
 def test_decoder_dimension_and_gradient(model, rng):
+    model.cast(np.float64)                            # the precision of the check
     x = rng.normal(size=(2, X_DIM))
     h = Tensor(rng.normal(size=(2, CFG.d_h)) * 0.2, requires_grad=True)
     z = rng.normal(size=(2, CFG.d_z))

@@ -438,15 +438,24 @@ def test_float64_parameters_do_not_load_into_a_float32_network(tmp_path, rng):
         net.load_state(load_checkpoint(path)[0])
 
 
-def test_float32_layer_casts_constant_inputs_and_keeps_tape_inputs(rng):
-    layer = Dense(3, 2, "elu", rng)
-    layer.cast(np.float32)
-    x = rng.normal(size=(4, 3))
-    assert layer(x).data.dtype == np.float32
-    assert layer(x).data.tobytes() == layer(x.astype(np.float32)).data.tobytes()
-    # a float64 tensor on the tape keeps float64, so a gradient check runs in float64
-    xt = Tensor(x, requires_grad=True)
-    assert layer(xt).data.dtype == np.float64
+@pytest.mark.parametrize("layer", ["dense", "gru", "conv"])
+def test_float32_layer_refuses_float64_inputs(layer, rng):
+    """A layer does not cast: a float64 input, an array or a tensor, on the
+    tape or off it, is refused; a float32 one runs in float32."""
+    net, shapes = {"dense": (Dense(3, 2, "elu", rng), [(4, 3)]),
+                   "gru": (GruCell(3, 2, rng), [(4, 3), (4, 2)]),
+                   "conv": (Conv1d(1, 2, 3, 2, rng), [(4, 1, 9)])}[layer]
+    net.cast(np.float32)
+    inputs = [rng.normal(size=s) for s in shapes]
+    for wide in range(len(inputs)):
+        args = [x if i == wide else x.astype(np.float32) for i, x in enumerate(inputs)]
+        for make in (lambda x: x, Tensor, lambda x: Tensor(x, requires_grad=True)):
+            with pytest.raises(DimensionError, match="dtype|widened"):
+                net(*[make(x) if i == wide else x for i, x in enumerate(args)])
+            with ad.no_grad(), pytest.raises(DimensionError, match="dtype"):
+                net(*[make(x) if i == wide else x for i, x in enumerate(args)])
+    out = net(*[Tensor(x.astype(np.float32), requires_grad=True) for x in inputs])
+    assert out.data.dtype == np.float32
 
 
 def test_sample_draws_float64_noise_and_casts_it(rng):
