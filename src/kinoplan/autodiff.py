@@ -169,12 +169,16 @@ def _tracked(*tensors) -> bool:
                for t in tensors)
 
 
+def on_tape(*operands) -> bool:
+    """Whether an op on these operands goes on the tape, for ops built
+    outside this module."""
+    return _GRAD_ENABLED and _tracked(*operands)
+
+
 def node(data, parents, backward) -> Tensor:
-    """A tape node (`backward(g)` gives one gradient or None per parent), or
-    a bare tensor when no parent is on the tape. Every parent must have the
+    """A tape node: `backward(g)` gives one gradient or None per parent. The
+    caller has found a parent on the tape; every parent must have the
     result's dtype."""
-    if not (_GRAD_ENABLED and _tracked(*parents)):
-        return _const(data)
     out = Tensor(data)
     dtype = out.data.dtype
     for p in parents:

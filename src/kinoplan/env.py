@@ -382,10 +382,12 @@ def step_state(cfg: EnvConfig, s: EnvState, action) -> StepOutcome:
     height_rate = (d2 - d) / cfg.dt
     planted = contact & (vz2 <= 0.0)
 
-    # step-riser blocking: the foot cannot slide into a rise taller than tol;
-    # a planted foot has not moved vertically before it is re-planted
+    # step-riser blocking: the foot cannot slide into a floor that rises by
+    # more than tol to above it by more than tol (a planted foot has not moved
+    # vertically before it is re-planted); below a level floor it lands
     floor_ahead = asked[1]
-    stumble = floor_ahead - (select(planted, pz, pz2) - (leg + d2)) > cfg.step_up_tol
+    stumble = (floor_ahead - floor_here > cfg.step_up_tol) & (
+        floor_ahead - (select(planted, pz, pz2) - (leg + d2)) > cfg.step_up_tol)
     px2 = select(stumble, px, px2)
     vx2 = select(stumble, 0.0, vx2)
     floor_ahead = select(stumble, floor_here, floor_ahead)

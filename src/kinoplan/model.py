@@ -38,8 +38,8 @@ from .env import ACTION_DIM, HISTORY_SIZE, OBS_DIM, SCAN_MAX_RANGE, SCAN_RAYS
 from .errors import DataError, DimensionError, TrainingError
 from .nn import (NET_DTYPE, Conv1d, Dense, DiagonalGaussian, GaussianHead, GruCell, MLP,
                  Module)
-from .state import (BodyParams, IDX_PITCH, IDX_PX, IDX_PZ, X_DIM, X_FEAT_DIM,
-                    foot_height, relative_rollout, x_features)
+from .state import (BodyParams, IDX_PITCH, IDX_PX, IDX_PZ, IDX_VZ, X_DIM, X_FEAT_DIM,
+                    advance_state, relative_rollout, x_features)
 
 
 @dataclass(frozen=True)
@@ -156,57 +156,49 @@ class InternalModel(Module):
         h_next = ad.astype(h_next, self.dtype)
         dist = self.prior_z(h_next)
         z = dist.mean + 0.0 if rng is None else dist.sample(rng)
-        x = self.integrate(np.atleast_2d(x_prev), self.wrench(h_next), floor_fn=floor_fn)
+        x = self.integrate(x_prev, self.wrench(h_next), floor_fn)
         return z, dist, x
 
-    def integrate(self, x_prev: np.ndarray, wrench: Tensor,
-                  floor_now=None, floor_next=None, floor_fn=None) -> Tensor:
-        """Differentiable semi-implicit Euler step of the kinodynamic state
-        under a predicted wrench, with support contact canceling gravity and
-        planting the foot: one tape node, with the wrench in float64."""
+    def integrate(self, x_prev: np.ndarray, wrench: Tensor, floor_at=None) -> Tensor:
+        """`advance_state` without friction at the model's dt, under a
+        predicted wrench in float64: one tape node. `floor_at` is
+        advance_state's floor lookup, asked at p_x and then at p_x' (None:
+        free flight)."""
         wrench = ad.astype(wrench, np.float64)
-        body = self.body
-        dt = self.cfg.dt_model
         x_prev = np.atleast_2d(np.asarray(x_prev, dtype=np.float64))
-        px, pz, th, vx, vz, om, d = x_prev.T
-        fx, fz, tau, drate = wrench.data.T
+        body, dt = self.body, self.cfg.dt_model
+        if not ad.on_tape(wrench):
+            return Tensor(advance_state(x_prev, wrench.data, dt, body, floor_at))
+        floors = []
 
-        if floor_fn is not None:
-            floor_now = np.asarray(floor_fn(px))
-        has_contact = floor_now is not None
-        contact = has_contact and (
-            foot_height(x_prev, body) <= np.asarray(floor_now) + body.contact_tol)
+        def floor_seen(px):
+            floors.append(floor_at(px))
+            return floors[-1]
 
-        d_free = d + drate * dt
-        d2 = np.minimum(np.maximum(d_free, body.offset_min), body.offset_max)
-        om2 = om + tau * (dt / body.inertia)
-        th2 = th + om2 * dt
-        vx2 = vx + fx * (dt / body.mass)
-        px2 = px + vx2 * dt
-        lift = fz * (1.0 / body.mass) - body.gravity
-        vz_air = vz + lift * dt
-        vz_contact = np.maximum(vz, 0.0) + np.maximum(lift, 0.0) * dt
-        vz2 = np.where(contact, vz_contact, vz_air)
-        pz2 = pz + vz2 * dt
-        if has_contact:
-            fnext = floor_fn(px2) if floor_fn is not None else floor_next
-            planted = contact & (vz2 <= 0.0)
-            pz2 = np.where(planted, (np.asarray(fnext, np.float64) + body.leg_length) + d2, pz2)
-        out = np.stack([px2, pz2, th2, vx2, vz2, om2, d2], axis=-1)
+        out = advance_state(x_prev, wrench.data, dt, body,
+                            None if floor_at is None else floor_seen)
 
         def backward(grad):
-            # the same products and sums, in order, as the tape of the op chain
+            # the products and sums, in order, of advance_state's chain of ops,
+            # its masks rebuilt from its inputs, output and first floor answer
             g_px, g_pz, g_th, g_vx, g_vz, g_om, g_d = grad.T
-            if has_contact:
+            _, pz, _, _, _, _, d = x_prev.T
+            _, fz, _, drate = wrench.data.T
+            contact = False
+            if floors:
+                contact = pz - (body.leg_length + d) <= floors[0] + body.contact_tol
+                planted = contact & (out[:, IDX_VZ] <= 0.0)
                 g_d = g_d + np.where(planted, g_pz, 0.0)
                 g_pz = np.where(planted, 0.0, g_pz)
             g_vz = g_vz + g_pz * dt
+            d_free = d + dt * drate
             inside = (d_free >= body.offset_min) & (d_free <= body.offset_max)
+            lift = fz / body.mass - body.gravity
             g_w = np.zeros_like(wrench.data)
-            g_w[:, 0] += (g_vx + g_px * dt) * (dt / body.mass)
-            g_w[:, 1] += (np.where(contact, 0.0, g_vz) * dt * (1.0 / body.mass)
-                          + np.where(contact, g_vz, 0.0) * dt * (lift > 0.0) * (1.0 / body.mass))
-            g_w[:, 2] += (g_om + g_th * dt) * (dt / body.inertia)
+            g_w[:, 0] += (g_vx + g_px * dt) / body.mass * dt
+            g_w[:, 1] += (np.where(contact, 0.0, g_vz) * dt / body.mass
+                          + np.where(contact, g_vz, 0.0) * dt * (lift > 0.0) / body.mass)
+            g_w[:, 2] += (g_om + g_th * dt) / body.inertia * dt
             g_w[:, 3] += g_d * inside * dt
             return (g_w,)
 
@@ -346,8 +338,9 @@ class InternalModel(Module):
                                       dtype=dtype)),
                 h)
             # the prior state prediction conditions on the post-action memory
+            floors = iter((floor_now[:, t], floor_next[:, t]))
             x_hat_next = self.integrate(x_sim[:, t], self.wrench(h_next),
-                                        floor_now[:, t], floor_next[:, t])
+                                        lambda px: next(floors))
             com = com + ad.mean(ad.sum_(ad.square(x_hat_next - x_next_sim[:, t]), axis=-1))
             accumulate("com", com)
             h = h_next

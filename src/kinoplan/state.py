@@ -8,10 +8,10 @@ learned model, and the planner's constraint checks:
 `height_offset` is the crouch/extend proxy for joint state: the support leg
 length is ``leg_length + height_offset``.
 
-`advance_state` is the simulator's integrator: `env.step_state` advances
-every env of a batch (or the one env of a `PlanarEnv`) through one call of
-it. `InternalModel.integrate` is its numpy twin with a hand-written gradient
-(no friction, own operation order, so the last bit may differ), tested alike.
+`advance_state` is the one integrator: `env.step_state` advances every env
+of a batch (or the one env of a `PlanarEnv`) through one call of it, and
+`InternalModel.integrate` is one call of it without friction, with a
+hand-written gradient.
 """
 
 from __future__ import annotations
@@ -57,10 +57,6 @@ class BodyParams:
 def x_features(x: np.ndarray) -> np.ndarray:
     """Network-input slice of the state: positions dropped."""
     return np.asarray(x)[..., list(FEATURE_IDX)]
-
-
-def foot_height(x: np.ndarray, body: BodyParams) -> np.ndarray:
-    return np.asarray(x)[..., IDX_PZ] - (body.leg_length + np.asarray(x)[..., IDX_OFFSET])
 
 
 def relative_rollout(states: np.ndarray, x_ref: np.ndarray) -> np.ndarray:

@@ -9,8 +9,7 @@ import numpy as np
 
 from kinoplan import autodiff as ad
 from kinoplan.autodiff import Tensor
-from kinoplan.state import (IDX_OFFSET, IDX_OMEGA, IDX_PITCH, IDX_PX, IDX_PZ,
-                            IDX_VX, IDX_VZ, foot_height)
+from kinoplan.state import IDX_OFFSET, IDX_PZ
 
 
 def numeric_gradient(f, param_data: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -176,50 +175,53 @@ def composite_gru_cell(x, h, w_x, w_h, b):
     return (1.0 - u) * h + u * c
 
 
-def composite_integrate(body, dt, x_prev, wrench, floor_now=None, floor_next=None,
-                        floor_fn=None):
-    """The model's semi-implicit Euler step with contact, as a chain of
-    elementary autodiff ops on (n,)-columns: the reference for
-    `InternalModel.integrate`."""
+def foot_height(x: np.ndarray, body) -> np.ndarray:
+    """Height of the support foot: p_z less the leg's length."""
+    return np.asarray(x)[..., IDX_PZ] - (body.leg_length + np.asarray(x)[..., IDX_OFFSET])
+
+
+def _divide(a, c: float) -> Tensor:
+    """a / c for a constant c as one elementary op, whose gradient is g / c
+    (autodiff has no division)."""
+    return ad.node(a.data / c, (a,), lambda g: (g / c,))
+
+
+def composite_integrate(body, dt, x_prev, wrench, floor_at=None):
+    """`advance_state` without friction as a chain of elementary autodiff ops
+    on (n,)-columns, in its operation order: the reference for
+    `InternalModel.integrate`. Call it with the wrench on the tape."""
     wrench = ad.astype(wrench, np.float64)
     g = body.gravity
     x_prev = np.atleast_2d(np.asarray(x_prev, dtype=np.float64))
     n = x_prev.shape[0]
+    px, pz, th, vx, vz, om, d = x_prev.T
 
-    if floor_fn is not None:
-        floor_now = np.asarray(floor_fn(x_prev[:, IDX_PX]))
-    has_contact = floor_now is not None
-    if has_contact:
-        contact = foot_height(x_prev, body) <= np.asarray(floor_now) + body.contact_tol
-    else:
+    if floor_at is None:
         contact = np.zeros(n, dtype=bool)
+    else:
+        contact = foot_height(x_prev, body) <= floor_at(px) + body.contact_tol
 
     fx = wrench[:, 0]
     fz = wrench[:, 1]
     tau = wrench[:, 2]
     drate = wrench[:, 3]
 
-    d2 = ad.clip(Tensor(x_prev[:, IDX_OFFSET]) + dt * drate,
-                 body.offset_min, body.offset_max)
-    om2 = Tensor(x_prev[:, IDX_OMEGA]) + (dt / body.inertia) * tau
-    th2 = Tensor(x_prev[:, IDX_PITCH]) + dt * om2
-    vx2 = Tensor(x_prev[:, IDX_VX]) + (dt / body.mass) * fx
-    px2 = Tensor(x_prev[:, IDX_PX]) + dt * vx2
-
-    vz_air = Tensor(x_prev[:, IDX_VZ]) + dt * ((1.0 / body.mass) * fz - g)
-    vz_contact = ad.relu(Tensor(x_prev[:, IDX_VZ])) + dt * ad.relu(
-        (1.0 / body.mass) * fz - g)
+    d2 = ad.clip(Tensor(d) + dt * drate, body.offset_min, body.offset_max)
+    om2 = Tensor(om) + _divide(dt * tau, body.inertia)
+    th2 = Tensor(th) + dt * om2
+    vx2 = Tensor(vx) + _divide(dt * fx, body.mass)
+    vz_air = Tensor(vz) + dt * (_divide(fz, body.mass) - g)
+    px2 = Tensor(px) + dt * vx2
+    vz_contact = ad.relu(Tensor(vz)) + dt * ad.relu(_divide(fz, body.mass) - g)
     vz2 = ad.where(contact, vz_contact, vz_air)
-    pz_air = Tensor(x_prev[:, IDX_PZ]) + dt * vz2
+    pz_air = Tensor(pz) + dt * vz2
 
-    if has_contact:
-        fnext = floor_fn(px2.data) if floor_fn is not None else floor_next
-        fnext = np.asarray(fnext, dtype=np.float64)
-        pz_planted = Tensor(fnext + body.leg_length) + d2
+    if floor_at is None:
+        pz2 = pz_air
+    else:
+        pz_planted = Tensor(floor_at(px2.data) + body.leg_length) + d2
         planted = contact & (vz2.data <= 0.0)
         pz2 = ad.where(planted, pz_planted, pz_air)
-    else:
-        pz2 = pz_air
 
     cols = [px2, pz2, th2, vx2, vz2, om2, d2]
     return ad.concat([ad.reshape(c, (n, 1)) for c in cols], axis=-1)

@@ -64,7 +64,7 @@ def test_integrators_return_float64(rng):
     got = model.integrate(x, Tensor(wrench.astype(np.float32)))
     assert got.data.dtype == F64
     want = advance_state(x, wrench.astype(np.float32).astype(np.float64), 0.1, body)
-    assert np.max(np.abs(got.data - want)) < 1e-12
+    assert np.array_equal(got.data, want)
     _, h, _ = model.step(x, np.zeros((3, 8)), np.zeros((3, 2)), np.zeros((3, 4)))
     x_next, _, _ = model.step(x, h, np.zeros((3, 2)), np.zeros((3, 4)))
     assert h.dtype == F32 and x_next.dtype == F64

@@ -12,8 +12,10 @@ from kinoplan.env import (ACTION_DIM, EnvBatch, EnvConfig, EnvState, HISTORY_LEN
                           env_seeds, lin_tracking_reward, observe, step_state,
                           total_reward)
 from kinoplan.errors import ConfigError
-from kinoplan.state import (IDX_OFFSET, IDX_PX, IDX_PZ, IDX_VX, IDX_VZ, advance_state,
-                            foot_height)
+from kinoplan.state import IDX_OFFSET, IDX_PX, IDX_PZ, IDX_VX, IDX_VZ, advance_state
+from kinoplan.terrain import MAX_LEVEL
+
+from oracles import foot_height
 
 FLAT = EnvConfig(terrain_jitter=False)
 
@@ -191,6 +193,64 @@ def test_stumble_blocks_step_riser():
         if out.code:
             break
     assert stumbled
+
+
+def test_leg_extension_on_flat_ground_is_no_riser():
+    """A planted foot that extends the leg faster than step_up_tol / dt on
+    flat ground meets no riser: the step is not blocked, so p_x advances and
+    v_x gains f_x * dt instead of dropping to 0."""
+    cfg = EnvConfig(terrain_jitter=False, frictionless=True)
+    push, extend = np.array([10.0, 0.0, 0.0, 0.0]), np.array([10.0, 0.0, 0.0, 1.5])
+    env = PlanarEnv(cfg)
+    env.reset(level=0)
+    env.step(push)
+    x = env.state.x.copy()
+    _, _, out = env.step(extend)
+    assert not out.events["stumble"]
+    assert env.state.x[IDX_VX] == x[IDX_VX] + cfg.dt * extend[0] > 0.2
+    assert env.state.x[IDX_PX] > x[IDX_PX]
+    # the same steps inside a batch, beside envs that only push
+    batch = EnvBatch(cfg, 3, seed=0)
+    batch.reset_all()
+    batch.step(np.tile(push, (3, 1)))
+    _, _, out, _ = batch.step(np.array([extend, push, extend]))
+    assert not out.events["stumble"].any()
+    assert np.array_equal(batch.state.x[:, IDX_VX], [0.4, 0.4, 0.4])
+
+
+@pytest.mark.parametrize("kind,level", [("flat", 0)] + [("slope", lv)
+                                                       for lv in range(MAX_LEVEL + 1)])
+def test_no_stumble_without_a_floor_rise_ahead(kind, level):
+    """Over the action box, from bodies planted or just aloft along the
+    terrain, a step whose floor does not rise by more than step_up_tol
+    between p_x and the p_x' the integrator gives never stumbles."""
+    rng = np.random.default_rng(level)
+    cfg = EnvConfig(terrain_kind=kind, terrain_level=level, terrain_jitter=False)
+    body, n = cfg.body, 8
+    air_scale = np.array([body.air_force_scale, body.air_force_scale, 1.0, 1.0])
+    batch = EnvBatch(cfg, n, seed=level)
+    batch.reset_all()
+    checked = 0
+    for _ in range(6):
+        x = np.zeros((n, 7))
+        x[:, IDX_PX] = rng.uniform(0.3, 3.5, n)
+        x[:, IDX_OFFSET] = rng.uniform(body.offset_min, body.offset_max, n)
+        x[:, IDX_VX] = rng.uniform(-1.0, 1.0, n)
+        x[:, IDX_PZ] = (batch.floor_height(x[:, IDX_PX]) + body.leg_length
+                        + x[:, IDX_OFFSET] + rng.choice([0.0, 0.0, 0.005, 0.05], n))
+        batch.state.x = x
+        for _ in range(10):
+            x = batch.state.x.copy()
+            a = rng.uniform(*cfg.action_box()[:2], size=(n, ACTION_DIM))
+            floor = batch.floor_height(x[:, IDX_PX])
+            contact = foot_height(x, body) <= floor + body.contact_tol
+            free = advance_state(x, np.where(contact[:, None], a, a * air_scale), cfg.dt,
+                                 body, batch.floor_height, friction=batch.state.friction)
+            no_rise = batch.floor_height(free[:, IDX_PX]) - floor <= cfg.step_up_tol
+            _, _, out, _ = batch.step(a)
+            assert not (out.events["stumble"] & no_rise).any()
+            checked += no_rise.sum()
+    assert checked >= 0.9 * 6 * 10 * n
 
 
 def test_success_when_reaching_goal():

@@ -1,6 +1,6 @@
 """Smoke-size fingerprints: the parameters after three training iterations
 and one planner and one policy episode of the trained agent, pinned bit for
-bit on two seeds of flat ground and one of jittered stairs.
+bit on three seeds of flat ground and one of jittered stairs.
 
 A refactor keeps these values. A deliberate behaviour change (a simulator
 fix, a PPO step-size rule, a network dtype) updates them in its own change,
@@ -19,18 +19,25 @@ from smoke import smoke_config
 # seed: (model, actor, critic checksum prefixes), (planner return, steps),
 # (policy return, steps)
 FINGERPRINTS = {
-    0: (("2d9a73240268", "86d388ef7273", "e26ff3fe792b"),
-        (-0.1270201865795264, 42), (272.64239318737856, 216)),
-    7: (("c039331cd51f", "96a3cae5c8f0", "d0c5846163cc"),
-        (22.656105328639928, 18), (15.33055990820513, 13)),
+    0: (("23916e92bb53", "5c0979e8fdd7", "fac29a803def"),
+        (-6.297797564997136, 45), (64.90735202809, 82)),
+    7: (("c039331cd51f", "a36cd1fdc40a", "9508dbaa5f39"),
+        (26.15056072942234, 19), (11.460420640491233, 14)),
+}
+
+# A flat seed whose first three iterations each update the model (seed 7's
+# episodes are too short to fill a model sequence that early).
+MODEL_UPDATE_FINGERPRINTS = {
+    2: (("698d34dc675a", "adbdc0dad1fc", "22753d2b6015"),
+        (107.4642837928888, 96), (132.14073669463656, 99)),
 }
 
 # Stairs at level 2 with jitter, where the model trains from the first
 # iteration on and the floor lookup leaves flat ground.
 STAIRS = {"terrain_kind": "stairs", "terrain_level": 2, "terrain_jitter": True}
 STAIRS_FINGERPRINTS = {
-    2: (("f407a881b618", "d60e849a4309", "42c64896bb69"),
-        (58.28573765499259, 76), (50.349505281191504, 81)),
+    2: (("a45aea618be9", "489b996e1378", "4715303b68bc"),
+        (81.34212544635798, 104), (30.191468154094654, 81)),
 }
 
 
@@ -54,6 +61,12 @@ def _check_fingerprint(tmp_path, seed, expected, cfg, model_updates=False):
 @pytest.mark.parametrize("seed", sorted(FINGERPRINTS))
 def test_smoke_fingerprints(tmp_path, seed):
     _check_fingerprint(tmp_path, seed, FINGERPRINTS[seed], smoke_config(seed))
+
+
+@pytest.mark.parametrize("seed", sorted(MODEL_UPDATE_FINGERPRINTS))
+def test_smoke_fingerprints_with_model_updates(tmp_path, seed):
+    _check_fingerprint(tmp_path, seed, MODEL_UPDATE_FINGERPRINTS[seed], smoke_config(seed),
+                       model_updates=True)
 
 
 @pytest.mark.parametrize("seed", sorted(STAIRS_FINGERPRINTS))

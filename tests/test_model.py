@@ -164,16 +164,17 @@ def test_prior_unit_wrench_semi_implicit(rng):
 
 
 def test_prior_integrator_matches_shared_integrator(model, rng):
-    """The model's differentiable step equals the simulator's integrator
-    (without friction) in free flight and in contact on terrain, so
-    learned-wrench predictions can be exact where physics allows."""
+    """The model's differentiable step is the simulator's integrator
+    (without friction), bit for bit, on and off the tape, in free flight and
+    in contact on every terrain, so learned-wrench predictions can be exact
+    where physics allows."""
     for _ in range(20):
         x_prev = rng.normal(size=(3, X_DIM))
         x_prev[:, 1] += 10.0  # airborne
         wrench = rng.normal(size=(3, 4)) * 5
-        got = model.integrate(x_prev, Tensor(wrench)).data
-        want = advance_state(x_prev, wrench, CFG.dt_model, BODY, floor_at=None)
-        assert np.max(np.abs(got - want)) < 1e-12
+        for w in (Tensor(wrench), Tensor(wrench, requires_grad=True)):
+            got = model.integrate(x_prev, w).data
+            _same_bits(got, advance_state(x_prev, wrench, CFG.dt_model, BODY, floor_at=None))
     for kind in ("flat", "slope", "stairs", "gap"):
         terrain = build_terrain(kind, 4)
         for _ in range(20):
@@ -185,11 +186,17 @@ def test_prior_integrator_matches_shared_integrator(model, rng):
             x_prev[:, 1] = (terrain.floor_height(x_prev[:, 0]) + BODY.leg_length
                             + x_prev[:, 6] + lift)
             wrench = rng.normal(size=(6, 4)) * [5.0, 15.0, 5.0, 1.0]
-            got = model.integrate(x_prev, Tensor(wrench),
-                                  floor_fn=terrain.floor_height).data
             want = advance_state(x_prev, wrench, CFG.dt_model, BODY,
                                  floor_at=terrain.floor_height)
-            assert np.max(np.abs(got - want)) < 1e-12, kind
+            for w in (Tensor(wrench), Tensor(wrench, requires_grad=True)):
+                _same_bits(model.integrate(x_prev, w, terrain.floor_height).data, want)
+
+
+def _served(*floors):
+    """A floor lookup that answers with `floors` in turn, as model_loss
+    serves a batch's floors at p_x and then at p_x'."""
+    answers = iter(floors)
+    return lambda px: next(answers)
 
 
 def _same_bits(got, ref):
@@ -203,8 +210,8 @@ def test_integrate_matches_composite_bit_for_bit(rng):
     built from elementary ops, with the same bits: on every terrain,
     with feet planted, just above the floor and airborne, the offset clip
     saturated at both ends, in free flight, and with the floor given as a
-    lookup or as the arrays of a training batch. A body whose dt / inertia
-    and 1 / mass are not 1 keeps every product's rounding visible."""
+    lookup or served from the arrays of a training batch. A body whose
+    inertia and mass are not 1 keeps every quotient's rounding visible."""
     body = BodyParams(mass=1.3, inertia=0.07)
     model = InternalModel(CFG, body, rng)
     n = 12
@@ -224,11 +231,11 @@ def test_integrate_matches_composite_bit_for_bit(rng):
             g = rng.normal(size=(n, X_DIM))
             g[0] = 0.0
             g[1] = -0.0
-            floors = {"free flight": {},
-                      "floor_fn": {"floor_fn": terrain.floor_height},
-                      "floor arrays": {"floor_now": terrain.floor_height(x_prev[:, 0]),
-                                       "floor_next": terrain.floor_height(
-                                           x_prev[:, 0] + 0.1 * x_prev[:, 3])}}
+            served = (terrain.floor_height(x_prev[:, 0]),
+                      terrain.floor_height(x_prev[:, 0] + 0.1 * x_prev[:, 3]))
+            floors = {"free flight": lambda: None,
+                      "floor lookup": lambda: terrain.floor_height,
+                      "floor arrays": lambda: _served(*served)}
             # a float64 wrench shows the float64 gradient before its cast
             for (name, floor), dtype in itertools.product(floors.items(),
                                                          (np.float32, np.float64)):
@@ -236,14 +243,14 @@ def test_integrate_matches_composite_bit_for_bit(rng):
                 for step in (model.integrate, lambda *a, **k: composite_integrate(
                         body, CFG.dt_model, *a, **k)):
                     w = Tensor(wrench.astype(dtype), requires_grad=True)
-                    y = step(x_prev, w, **floor)
+                    y = step(x_prev, w, floor())
                     y.backward(g)
                     results.append((y.data, w.grad))
                 for got, ref in zip(*results):
                     _same_bits(got, ref)
                 assert results[0][1].dtype == dtype, (kind, name)
                 with ad.no_grad():
-                    off = model.integrate(x_prev, Tensor(wrench, requires_grad=True), **floor)
+                    off = model.integrate(x_prev, Tensor(wrench, requires_grad=True), floor())
                 assert off._parents == () and off.data.tobytes() == results[0][0].tobytes()
 
 
@@ -392,7 +399,7 @@ def test_model_loss_com_zero_under_injected_perfect_heads(model, rng):
                               batch["action"][:, 0]], axis=-1, dtype=np.float32)
         h1 = model.gru(Tensor(gin), Tensor(h0))
         x_next = model.integrate(batch["x"][:, 0], model.wrench(h1),
-                                 batch["floor_now"][:, 0], batch["floor_next"][:, 0])
+                                 _served(batch["floor_now"][:, 0], batch["floor_next"][:, 0]))
         batch["x_next"][:, 0] = x_next.data
     _, br = model.model_loss(batch, np.random.default_rng(seed))
     assert br["com"] == pytest.approx(0.0, abs=1e-18)

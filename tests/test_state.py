@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kinoplan.state import (BodyParams, advance_state,
-                            foot_height, relative_rollout, x_features,
+from kinoplan.state import (BodyParams, advance_state, relative_rollout, x_features,
                             IDX_PX, IDX_PZ, IDX_VX, IDX_VZ, X_DIM)
+
+from oracles import foot_height
 
 BODY = BodyParams()
 
