@@ -17,11 +17,11 @@ Off the tape, an op skips the tape machinery. When no operand is on the tape
 (always so under `no_grad`, where all inference runs), an op reads its
 operands' arrays, does the numpy work and wraps the result in a bare tensor:
 no operand coercion, no constructor checks and no dtype check in the
-elementwise ops. It keeps the shape checks, and dense, matmul, gru_cell and
-conv1d still compare their operands' dtypes, so a float64 array handed to a
+elementwise ops. It keeps the shape checks, and dense, gru_cell and conv1d
+still compare their operands' dtypes, so a float64 array handed to a
 float32 layer is refused there too. Results have the tape's dtype and bits.
 
-Two ops are one tape node each for a chain of this module's ops: `dense` (a
+Two ops are one tape node each for a chain of elementary ops: `dense` (a
 layer) and `gru_cell` (a GRU step). Each gives that chain's values and
 gradients bit for bit, pinned by a test against the chain.
 """
@@ -191,7 +191,7 @@ def node(data, parents, backward) -> Tensor:
 
 
 def _mixed_dtypes(*arrays) -> DimensionError:
-    """dense, matmul, gru_cell and conv1d compute in one dtype: off the tape
+    """dense, gru_cell and conv1d compute in one dtype: off the tape
     their operands must agree (on the tape, node refuses the mix)."""
     return DimensionError(f"operands of different dtypes: {[a.dtype.name for a in arrays]}")
 
@@ -251,31 +251,6 @@ def square(a) -> Tensor:
     return node(data, (a,), lambda g: (g * 2.0 * a.data,))
 
 
-def matmul(a, b) -> Tensor:
-    ad, bd = _data(a), _data(b)
-    if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
-        raise DimensionError(f"matmul supports 1-D/2-D operands, got {ad.shape} @ {bd.shape}")
-    if ad.shape[-1] != bd.shape[0]:
-        raise DimensionError(f"matmul inner dims differ: {ad.shape} @ {bd.shape}")
-    if not (_GRAD_ENABLED and _tracked(a, b)):
-        if ad.dtype != bd.dtype:
-            raise _mixed_dtypes(ad, bd)
-        return _const(ad @ bd)
-    a, b = as_tensor(a), as_tensor(b)
-    need_a, need_b = _tracked(a), _tracked(b)
-
-    def backward(g):
-        ad, bd = a.data, b.data
-        ga = gb = None                          # none for an operand off the tape
-        if need_a:
-            ga = g @ bd.T if bd.ndim == 2 else (np.outer(g, bd) if ad.ndim == 2 else g * bd)
-        if need_b:
-            gb = ad.T @ g if ad.ndim == 2 else (np.outer(ad, g) if bd.ndim == 2 else g * ad)
-        return ga, gb
-
-    return node(a.data @ b.data, (a, b), backward)
-
-
 def astype(a, dtype) -> Tensor:
     """`a` in `dtype`: the one op that changes a dtype. Its gradient flows
     back cast to a's own dtype."""
@@ -295,23 +270,6 @@ def exp(a) -> Tensor:
     if not (_GRAD_ENABLED and _tracked(a)):
         return _const(data)
     return node(data, (a,), lambda g: (g * data,))
-
-
-def tanh(a) -> Tensor:
-    data = np.tanh(_data(a))
-    if not (_GRAD_ENABLED and _tracked(a)):
-        return _const(data)
-    return node(data, (a,), lambda g: (g * (1.0 - data * data),))
-
-
-def sigmoid(a) -> Tensor:
-    data = 0.5 * _data(a)                       # 0.5 * (tanh(0.5 * a) + 1), in one buffer
-    np.tanh(data, out=data)
-    data += 1.0
-    data *= 0.5
-    if not (_GRAD_ENABLED and _tracked(a)):
-        return _const(data)
-    return node(data, (a,), lambda g: (g * data * (1.0 - data),))
 
 
 def _elu(pre: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -418,13 +376,6 @@ def gru_cell(x, h, w_x, w_h, b) -> Tensor:
                 g_gx.sum(axis=0) if need_b else None)
 
     return node(data, (x, h, h, w_x, w_h, b), backward)
-
-
-def relu(a) -> Tensor:
-    data = np.maximum(_data(a), 0.0)
-    if not (_GRAD_ENABLED and _tracked(a)):
-        return _const(data)
-    return node(data, (a,), lambda g: (g * (a.data > 0.0),))
 
 
 def clip(a, lo=None, hi=None) -> Tensor:

@@ -310,7 +310,7 @@ def _reset_state(cfg: EnvConfig, rng: np.random.Generator, level: int | None = N
     """A new episode of one env, its draws from `rng`: (terrain, state)."""
     episode_rng = np.random.default_rng(rng.integers(0, 2**63 - 1))
     terrain = build_terrain(cfg.terrain_kind, cfg.terrain_level if level is None else level,
-                            episode_rng, jitter=cfg.terrain_jitter)
+                            episode_rng, jitter=cfg.terrain_jitter, body=cfg.body)
     x = np.zeros(X_DIM)
     x[IDX_PX] = cfg.start_x
     x[IDX_PZ] = float(terrain.floor_height(cfg.start_x)) + cfg.body.leg_length

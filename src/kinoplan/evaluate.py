@@ -88,8 +88,7 @@ def run_planner_episode(env: PlanarEnv, model: InternalModel, actor: Actor,
                         keep_traces: bool = False) -> EpisodeOutcome:
     """Plan at the model rate; hold each planned action for the fast window."""
     obs, _ = env.reset(level=level)
-    adapter = ModelPlannerAdapter(model, actor, config.planner.sigma_floor,
-                                  floor_fn=env.terrain.floor_height)
+    adapter = ModelPlannerAdapter(model, actor, floor_fn=env.terrain.floor_height)
     y_prev = ModelState(env.state.x.copy(), np.zeros(config.model.d_h),
                         np.zeros(config.model.d_z))
     violations = 0

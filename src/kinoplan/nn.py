@@ -125,8 +125,6 @@ class GruCell(Module):
     """
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
-        self.input_size = input_size
-        self.hidden_size = hidden_size
         sx = 1.0 / math.sqrt(input_size)
         sh = 1.0 / math.sqrt(hidden_size)
         self.w_x = Tensor(rng.normal(0.0, sx, size=(input_size, 3 * hidden_size)),
@@ -136,12 +134,6 @@ class GruCell(Module):
         self.bias = Tensor(np.zeros(3 * hidden_size), requires_grad=True)
 
     def forward(self, x, h) -> Tensor:
-        if x.shape[-1] != self.input_size:
-            raise DimensionError(
-                f"gru cell expects input size {self.input_size}, got {x.shape[-1]}")
-        if h.shape[-1] != self.hidden_size:
-            raise DimensionError(
-                f"gru cell expects hidden size {self.hidden_size}, got {h.shape[-1]}")
         return ad.gru_cell(x, h, self.w_x, self.w_h, self.bias)
 
 

@@ -44,9 +44,6 @@ class GaussianActionPlan:
         if (self.std <= 0).any():
             raise ValueError("plan std must be positive")
 
-    def copy(self) -> "GaussianActionPlan":
-        return GaussianActionPlan(self.mean.copy(), self.std.copy())
-
 
 @dataclass(frozen=True)
 class PlannerConfig:
@@ -93,10 +90,11 @@ _INF = float("inf")
 class ConstraintSet:
     """Hard feasibility set: height-offset box (joint-limit analog),
     height-rate bounds on the action (joint-velocity analog), base twist
-    bounds, and the admissible action box."""
+    bounds, and the admissible action box. All but the action box default to
+    unbounded: the integrator keeps the offset in the body's range."""
 
-    height_offset: tuple[float, float] = (-0.3, 0.15)
-    height_rate: tuple[float, float] = (-1.0, 1.0)
+    height_offset: tuple[float, float] = (-_INF, _INF)
+    height_rate: tuple[float, float] = (-_INF, _INF)
     v_x: tuple[float, float] = (-_INF, _INF)
     v_z: tuple[float, float] = (-_INF, _INF)
     pitch_rate: tuple[float, float] = (-_INF, _INF)
@@ -116,8 +114,7 @@ class ConstraintSet:
     def unbounded(cls, action_low, action_high, height_rate_dim: int | None = None
                   ) -> "ConstraintSet":
         m = len(action_low)
-        return cls(height_offset=(-_INF, _INF), height_rate=(-_INF, _INF),
-                   action_low=tuple(action_low), action_high=tuple(action_high),
+        return cls(action_low=tuple(action_low), action_high=tuple(action_high),
                    height_rate_dim=height_rate_dim if height_rate_dim is not None
                    else min(3, m - 1))
 
@@ -289,7 +286,7 @@ def mppi_plan(plan_prev: GaussianActionPlan | None, y_prev, model,
     trace.timing_ms["warm_start"] = (time.perf_counter() - t0) * 1e3
 
     if plan_prev is None:
-        plan_prev = plan_rl.copy()
+        plan_prev = plan_rl
     if plan_prev.mean.shape != (horizon, m):
         raise DimensionError(
             f"previous plan shape {plan_prev.mean.shape} != ({horizon}, {m})")
@@ -364,29 +361,23 @@ def _y0_pz(y0) -> float:
 
 def _draw_first_action(plan: GaussianActionPlan, y0, model, cset: ConstraintSet,
                        config: PlannerConfig, rng: np.random.Generator):
-    """Sample a0 from the final plan, clipped into the action box; retry a few
-    times if its one-step predicted state violates the constraint set."""
+    """a0 from the final plan, clipped into the action box: the first draw whose
+    one-step predicted state is feasible, else the plan mean unless a draw
+    violates strictly less."""
     lo, hi = cset.action_box()
-    best = None
-    for _ in range(max(config.max_action_retries, 1)):
-        a0 = np.clip(plan.mean[0] + plan.std[0] * rng.standard_normal(lo.shape[0]),
-                     lo, hi)
-        batch = model.begin(y0, 1)
-        _, _, x_pred = model.step(batch, a0[None], rng)
-        viol = float(cset.violation(x_pred[None], a0[None])[0])
-        if viol == 0.0:
-            return a0, x_pred[0], 0.0, False
-        if best is None or viol < best[2]:
-            best = (a0, x_pred[0], viol)
-    # fall back to the plan mean itself
-    a0 = np.clip(plan.mean[0], lo, hi)
-    batch = model.begin(y0, 1)
-    _, _, x_pred = model.step(batch, a0[None], rng)
-    viol = float(cset.violation(x_pred[None], a0[None])[0])
-    if best is not None and best[2] < viol:
-        a0, x_pred0, viol = best
-        return a0, x_pred0, viol, True
-    return a0, x_pred[0], viol, True
+    draws = max(config.max_action_retries, 1)
+    best = (None, None, _INF)
+    for k in range(draws + 1):                  # the draws, then the plan mean
+        is_mean = k == draws
+        a0 = np.clip(plan.mean[0] if is_mean else
+                     plan.mean[0] + plan.std[0] * rng.standard_normal(lo.shape[0]), lo, hi)
+        _, xs = rollout_candidates(model, y0, a0[None, None], config.gamma, rng, False)
+        viol = float(cset.violation(xs, a0[None, None])[0])
+        if viol == 0.0 and not is_mean:
+            return a0, xs[0, 0], 0.0, False
+        if viol < best[2] or is_mean and viol == best[2]:
+            best = (a0, xs[0, 0], viol)
+    return (*best, True)
 
 
 # -- the learned-model adapter ----------------------------------------------------
@@ -404,10 +395,9 @@ class ModelPlannerAdapter:
     holds the tick's post-encoder model state.
     """
 
-    def __init__(self, model, actor, sigma_floor: float = 1e-3, floor_fn=None):
+    def __init__(self, model, actor, floor_fn=None):
         self.model = model
         self.actor = actor
-        self.sigma_floor = sigma_floor
         self.floor_fn = floor_fn
         self.obs_flat = None
         self.tick_state = None
@@ -432,8 +422,7 @@ class ModelPlannerAdapter:
             if k + 1 < horizon:     # the plan reads no state after its last action
                 a = np.minimum(np.maximum(dist.mean.data, -1.0), 1.0)
                 x, h, z = self.model.step(x, h, z, a, rng=rng, floor_fn=self.floor_fn)
-        plan = GaussianActionPlan(means, np.maximum(stds, self.sigma_floor))
-        return self.tick_state, plan
+        return self.tick_state, GaussianActionPlan(means, stds)
 
     def begin(self, y0: ModelState, n: int) -> dict:
         return {"x": np.tile(y0.x, (n, 1)), "h": np.tile(y0.h, (n, 1)),

@@ -119,8 +119,9 @@ def advance_state(x: np.ndarray, wrench: np.ndarray, dt: float, body: BodyParams
         pz2 = pz + dt * vz2
     else:
         contact = pz - (body.leg_length + d) <= floor_at(px) + body.contact_tol
-        dv = np.minimum(friction * g * dt, np.abs(vx2))
-        vx2 = select(contact & (friction > 0.0), vx2 - np.copysign(dv, vx2), vx2)
+        if np.any(friction > 0.0):          # Coulomb drag; none without friction
+            dv = np.minimum(friction * g * dt, np.abs(vx2))
+            vx2 = select(contact & (friction > 0.0), vx2 - np.copysign(dv, vx2), vx2)
         px2 = px + dt * vx2
         vz_c = np.maximum(vz, 0.0) + dt * np.maximum(fz / body.mass - g, 0.0)
         vz2 = select(contact, vz_c, vz2)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .state import BodyParams
 
 TERRAIN_KINDS = ("flat", "slope", "stairs", "gap", "crawl")
 MAX_LEVEL = 8
@@ -36,8 +37,9 @@ def gap_width(level: int) -> float:
     return 0.10 + level * 0.70 / MAX_LEVEL
 
 
-def crawl_clearance(level: int, standing_top: float = 0.6) -> float:
-    return standing_top * (1.0 - 0.4 * level / MAX_LEVEL)
+def crawl_clearance(level: int, body: BodyParams) -> float:
+    """The slab's height over the floor: the body's standing top at level 0."""
+    return (body.leg_length + body.body_half_height) * (1.0 - 0.4 * level / MAX_LEVEL)
 
 
 @dataclass
@@ -76,7 +78,7 @@ def _flat_points() -> tuple[list, list]:
 
 
 def build_terrain(kind: str, level: int, rng: np.random.Generator | None = None,
-                  jitter: bool = False) -> TerrainProfile:
+                  jitter: bool = False, body: BodyParams = BodyParams()) -> TerrainProfile:
     if kind not in TERRAIN_KINDS:
         raise ConfigError("terrain_kind", f"unknown kind '{kind}' (choose from {TERRAIN_KINDS})")
     if not 0 <= level <= MAX_LEVEL:
@@ -133,10 +135,10 @@ def build_terrain(kind: str, level: int, rng: np.random.Generator | None = None,
         xs += [X_MAX]
         zs += [0.0]
         return TerrainProfile(kind, level, np.array(xs), np.array(zs),
-                              discontinuities=np.array(disc), fall_z=-0.3)
+                              discontinuities=np.array(disc))
 
     # crawl: flat floor with a low slab over the middle section
-    clearance = crawl_clearance(level)
+    clearance = crawl_clearance(level, body)
     xs, zs = _flat_points()
     start = 3.0 + jit(0.3)
     end = start + 2.0

@@ -1,7 +1,7 @@
 """Independent oracles: these implement the expected quantities by a route
 separate from the library code they check (finite differences, closed-form
 densities, a scalar optimizer re-implementation, Riccati recursion, and
-composites of autodiff's elementary ops for its one-node ops)."""
+composites of elementary ops for autodiff's one-node ops)."""
 
 import math
 
@@ -9,6 +9,7 @@ import numpy as np
 
 from kinoplan import autodiff as ad
 from kinoplan.autodiff import Tensor
+from kinoplan.errors import DimensionError
 from kinoplan.state import IDX_OFFSET, IDX_PZ
 
 
@@ -163,15 +164,68 @@ def episode_records(episode: dict) -> list[dict]:
              "floor_next": floor_after[k]} for k in range(n)]
 
 
+# -- elementary ops the library does without, for the op chains below ----------------
+
+def matmul(a, b) -> Tensor:
+    """a @ b for 1-D/2-D operands of one dtype."""
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    if a.data.ndim not in (1, 2) or b.data.ndim not in (1, 2):
+        raise DimensionError(f"matmul supports 1-D/2-D operands, got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[0]:
+        raise DimensionError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
+    if not ad.on_tape(a, b):
+        if a.data.dtype != b.data.dtype:
+            raise DimensionError(f"matmul operands of different dtypes: "
+                                 f"{a.data.dtype} @ {b.data.dtype}")
+        return Tensor(a.data @ b.data)
+    need_a, need_b = ad.on_tape(a), ad.on_tape(b)
+
+    def backward(g):
+        ad_, bd = a.data, b.data
+        ga = gb = None                          # none for an operand off the tape
+        if need_a:
+            ga = g @ bd.T if bd.ndim == 2 else (np.outer(g, bd) if ad_.ndim == 2 else g * bd)
+        if need_b:
+            gb = ad_.T @ g if ad_.ndim == 2 else (np.outer(ad_, g) if bd.ndim == 2 else g * ad_)
+        return ga, gb
+
+    return ad.node(a.data @ b.data, (a, b), backward)
+
+
+def _unary(a, data, backward):
+    """An elementwise op of `a` with value `data` and gradient backward(g)."""
+    if not ad.on_tape(a):
+        return Tensor(data)
+    return ad.node(data, (a,), lambda g: (backward(g),))
+
+
+def tanh(a) -> Tensor:
+    data = np.tanh(ad.as_tensor(a).data)
+    return _unary(a, data, lambda g: g * (1.0 - data * data))
+
+
+def sigmoid(a) -> Tensor:
+    data = 0.5 * ad.as_tensor(a).data           # 0.5 * (tanh(0.5 * a) + 1), in one buffer
+    np.tanh(data, out=data)
+    data += 1.0
+    data *= 0.5
+    return _unary(a, data, lambda g: g * data * (1.0 - data))
+
+
+def relu(a) -> Tensor:
+    a = ad.as_tensor(a)
+    return _unary(a, np.maximum(a.data, 0.0), lambda g: g * (a.data > 0.0))
+
+
 def composite_gru_cell(x, h, w_x, w_h, b):
     """One GRU step, gate order (r, u, c), as a chain of elementary
     autodiff ops: the reference for `autodiff.gru_cell`."""
     n = ad.as_tensor(h).data.shape[-1]
     gx = ad.dense(x, w_x, b)
-    gh = ad.matmul(h, w_h)
-    r = ad.sigmoid(gx[..., 0:n] + gh[..., 0:n])
-    u = ad.sigmoid(gx[..., n:2 * n] + gh[..., n:2 * n])
-    c = ad.tanh(gx[..., 2 * n:] + r * gh[..., 2 * n:])
+    gh = matmul(h, w_h)
+    r = sigmoid(gx[..., 0:n] + gh[..., 0:n])
+    u = sigmoid(gx[..., n:2 * n] + gh[..., n:2 * n])
+    c = tanh(gx[..., 2 * n:] + r * gh[..., 2 * n:])
     return (1.0 - u) * h + u * c
 
 
@@ -212,7 +266,7 @@ def composite_integrate(body, dt, x_prev, wrench, floor_at=None):
     vx2 = Tensor(vx) + _divide(dt * fx, body.mass)
     vz_air = Tensor(vz) + dt * (_divide(fz, body.mass) - g)
     px2 = Tensor(px) + dt * vx2
-    vz_contact = ad.relu(Tensor(vz)) + dt * ad.relu(_divide(fz, body.mass) - g)
+    vz_contact = relu(Tensor(vz)) + dt * relu(_divide(fz, body.mass) - g)
     vz2 = ad.where(contact, vz_contact, vz_air)
     pz_air = Tensor(pz) + dt * vz2
 

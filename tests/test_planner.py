@@ -10,11 +10,11 @@ from kinoplan.env import HISTORY_SIZE, OBS_DIM
 from kinoplan.errors import ConfigError, DimensionError
 from kinoplan.model import InternalModel, ModelConfig
 from kinoplan.planner import (ConstraintSet, DiagnosticTrace, GaussianActionPlan,
-                              ModelPlannerAdapter, PlannerConfig, blend_plans,
-                              fit_elite_plan, mppi_plan, rollout_candidates,
-                              select_elites)
+                              ModelPlannerAdapter, PlannerConfig, _draw_first_action,
+                              blend_plans, fit_elite_plan, mppi_plan,
+                              rollout_candidates, select_elites)
 from kinoplan.policy import Actor
-from kinoplan.state import BodyParams, IDX_VX, ModelState, X_DIM
+from kinoplan.state import BodyParams, IDX_OFFSET, IDX_VX, ModelState, X_DIM, advance_state
 
 from oracles import discounted_riccati, lqr_rollout_cost
 
@@ -214,6 +214,92 @@ def test_fit_elite_population_std():
     assert plan.std[0, 1] == 1e-3
 
 
+# -- the executed action ----------------------------------------------------------------------
+
+class ActionIsVxModel:
+    """One-step dynamics whose predicted v_x is the action; p_x counts the
+    model steps, so a predicted state tells which probe made it. Each step
+    also draws from the rng, as the learned model's latent sampling does."""
+
+    def __init__(self):
+        self.steps = 0
+
+    def begin(self, y0, n):
+        return n
+
+    def step(self, n, actions, rng):
+        rng.random()
+        self.steps += 1
+        x = np.zeros((n, X_DIM))
+        x[:, 0] = self.steps
+        x[:, IDX_VX] = actions[:, 0]
+        return n, np.zeros(n), x
+
+
+def _first_action(mean, std, seed, retries=4):
+    """_draw_first_action's (a0, predicted x, violation, fell back) with v_x in
+    [-0.5, 0.5] and a 1-D action box [-1, 1], and each draw's clipped action
+    (its v_x), replayed from the same rng."""
+    cset = ConstraintSet(v_x=(-0.5, 0.5), action_low=(-1.0,), action_high=(1.0,),
+                         height_rate_dim=0)
+    cfg = PlannerConfig(max_action_retries=retries)
+    plan = GaussianActionPlan(np.full((2, 1), mean), np.full((2, 1), std))
+    got = _draw_first_action(plan, None, ActionIsVxModel(), cset, cfg,
+                             np.random.default_rng(seed))
+    r = np.random.default_rng(seed)
+    draws = []
+    for _ in range(retries):
+        draws.append(float(np.clip(mean + std * r.standard_normal(1), -1.0, 1.0)[0]))
+        r.random()
+    return got, draws
+
+
+def test_first_feasible_draw_is_executed():
+    (a0, x, viol, fell_back), draws = _first_action(0.0, 0.1, seed=3)
+    assert a0[0] == draws[0] and x[IDX_VX] == draws[0] and x[0] == 1
+    assert viol == 0.0 and not fell_back
+
+
+def test_plan_mean_is_executed_when_no_draw_violates_less():
+    # every draw above the bound: the mean, at 0.7, violates least
+    (a0, x, viol, fell_back), draws = _first_action(0.7, 1e-3, seed=13)
+    assert min(abs(d) for d in draws) > 0.7
+    assert a0[0] == 0.7 and x[0] == 5 and viol == pytest.approx(0.2) and fell_back
+    # a tie: every draw and the mean clip to the box edge, and the mean wins
+    (a0, x, viol, fell_back), draws = _first_action(3.0, 1e-3, seed=0)
+    assert draws == [1.0] * 4
+    assert a0[0] == 1.0 and x[0] == 5 and viol == 0.5 and fell_back
+
+
+def test_draw_that_violates_strictly_less_beats_the_plan_mean():
+    (a0, x, viol, fell_back), draws = _first_action(0.6, 0.05, seed=1)
+    best = int(np.argmin(draws))
+    assert min(draws) > 0.5 and min(draws) < 0.6
+    assert a0[0] == draws[best] and x[0] == best + 1
+    assert viol == pytest.approx(draws[best] - 0.5) and fell_back
+
+
+def test_integrated_states_meet_the_default_constraint_set(rng):
+    """The default ConstraintSet holds no copy of a body's offset range: the
+    integrator keeps the offset in the body's range, wider ones included,
+    and so no state it gives violates the default set."""
+    body = BodyParams(leg_length=0.8, body_half_height=0.2, offset_min=-0.45,
+                      offset_max=0.25)
+    x = np.zeros((256, X_DIM))
+    x[:, IDX_OFFSET] = rng.uniform(body.offset_min, body.offset_max, 256)
+    x[:, 1] = body.leg_length + x[:, IDX_OFFSET] + rng.uniform(-0.01, 0.05, 256)
+    x[:, IDX_VX] = rng.normal(size=256)
+    cset = ConstraintSet()
+    lo, hi = cset.action_box()
+    actions = rng.uniform(lo, hi, size=(256, 4))
+    wrench = actions * np.array([30.0, 60.0, 5.0, 10.0])     # drives d past both ends
+    for _ in range(4):
+        x = advance_state(x, wrench, 0.1, body, lambda px: np.zeros_like(px))
+        assert x[:, IDX_OFFSET].min() == body.offset_min
+        assert x[:, IDX_OFFSET].max() == body.offset_max
+        assert np.all(cset.violation(x[:, None], actions[:, None]) == 0.0)
+
+
 # -- full planner calls ----------------------------------------------------------------------
 
 def _mini_agent(rng):
@@ -243,10 +329,14 @@ def test_warm_start_first_step_matches_direct_actor_call(rng):
 
 
 def test_warm_start_deterministic_actor_std_floored(rng):
+    """mppi_plan floors the warm-start std at config.sigma_floor: with no
+    iterations and no temporal momentum, its plan is the warm-start plan."""
     adapter, y0 = _mini_agent(rng)
-    adapter.actor.log_std.data[:] = -40.0  # clamped to exp(-5) ~ 6.7e-3 > floor
-    adapter.sigma_floor = 1e-2
-    _, plan = adapter.warm_start(y0, 3, np.random.default_rng(0))
+    adapter.actor.log_std.data[:] = -40.0  # clamped to exp(-5) ~ 6.7e-3 < floor
+    cfg = PlannerConfig(horizon=3, iterations=0, samples=4, policy_samples=4, elites=4,
+                        temporal_momentum=0.0, sigma_floor=1e-2)
+    _, plan, _ = mppi_plan(None, y0, adapter, cfg, ConstraintSet(),
+                           np.random.default_rng(0))
     assert np.all(plan.std == 1e-2)
 
 

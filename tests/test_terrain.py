@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kinoplan.env import EnvConfig, PlanarEnv
 from kinoplan.errors import ConfigError
 from kinoplan.state import BodyParams
 from kinoplan.terrain import (MAX_LEVEL, SKY, TERRAIN_KINDS, X_MAX, X_MIN, build_terrain,
@@ -15,7 +16,7 @@ DIFFICULTY = {
     "slope": slope_angle_deg,
     "stairs": step_rise,
     "gap": gap_width,
-    "crawl": lambda level: -crawl_clearance(level),   # lower clearance is harder
+    "crawl": lambda level: -crawl_clearance(level, BodyParams()),   # lower is harder
 }
 
 
@@ -44,8 +45,26 @@ def test_crawl_clearance_respects_min_crouch():
 
 
 def test_crawl_clearance_range():
-    assert crawl_clearance(0) == pytest.approx(0.6)
-    assert crawl_clearance(MAX_LEVEL) == pytest.approx(0.36)
+    assert crawl_clearance(0, BodyParams()) == pytest.approx(0.6)
+    assert crawl_clearance(MAX_LEVEL, BodyParams()) == pytest.approx(0.36)
+
+
+def test_crawl_clearance_follows_the_env_body():
+    """An env's crawl slab sits at its own body's standing top, lowered with
+    the level, and every level stays passable in that body's deepest crouch:
+    here 0.6 * (0.8 + 0.2) >= 0.8 - 0.45 + 0.2."""
+    body = BodyParams(leg_length=0.8, body_half_height=0.2, offset_min=-0.45,
+                      offset_max=0.25)
+    min_crouch_top = body.leg_length + body.offset_min + body.body_half_height
+    env = PlanarEnv(EnvConfig(terrain_kind="crawl", body=body), seed=0)
+    for lvl in range(MAX_LEVEL + 1):
+        env.reset(level=lvl)
+        terrain = env.terrain
+        assert np.all(terrain.ceiling_z == (1.0 - 0.4 * lvl / MAX_LEVEL))   # top 0.8 + 0.2
+        assert crawl_clearance(lvl, body) == terrain.ceiling_z[0]
+        s = np.linspace(-2, 10, 400)
+        ceiling = np.interp(s, terrain.ceiling_x, terrain.ceiling_z, left=SKY, right=SKY)
+        assert np.all(ceiling - terrain.floor_height(s) >= min_crouch_top)
 
 
 def test_gap_and_stairs_have_discontinuities():
