@@ -155,6 +155,9 @@ class ExperimentConfig:
             raise ConfigError(
                 "model.dt_model", "model timestep must equal env.dt * env.scan_every "
                 "(the two-rate contract)")
+        if self.train.steps_per_iteration % self.steps_per_tick:
+            raise ConfigError("train.steps_per_iteration", "must be a multiple of "
+                              f"env.scan_every = {self.steps_per_tick} (whole model ticks)")
         if self.train.replay_capacity < self.max_episode_records:
             raise ConfigError("train.replay_capacity", "must hold the "
                               f"{self.max_episode_records} records of the longest episode")

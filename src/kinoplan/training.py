@@ -2,11 +2,12 @@
 update, sequence replay for the supervised model loss, GAE, and PPO updates
 of the expert actor and privileged critic.
 
-The actor runs every simulator step (50 Hz); the internal model refreshes
-its memory and imagined rollout every `steps_per_tick` steps (10 Hz), and
-the actor reuses the held (h, rollout) in between. Replay records live at
-the model rate, one per tick window: the observation, executed action, true
-state and floor height at the window's first step, its summed reward and its
+The actor runs every simulator step (50 Hz); the internal model runs on one
+clock for the whole batch, one tick every `steps_per_tick` steps (10 Hz),
+and the actor reuses the held (h, rollout) in between. An env reset between
+ticks acts on cleared memory until the next. Replay records live at the
+model rate, one per tick window: the observation, executed action, true
+state and floor height at the tick, the window's summed reward and its
 value target. Each record field is an array with a row per record, staged
 per env by `Collector` and kept in rings by `SequenceReplay`; the state at
 a window's end is the next row's, or the episode's terminal state.
@@ -33,8 +34,8 @@ from .policy import Actor, Critic
 from .state import IDX_PX, X_DIM
 
 METRICS_SCHEMA_VERSION = 2
-# "-4": the actor reads the collector's memory h; no second copy is kept
-RESUME_KIND = "kinoplan-resume-4"
+# "-5": staged records open on one clock for the batch; a "-4" file's may not
+RESUME_KIND = "kinoplan-resume-5"
 
 
 @dataclass
@@ -192,10 +193,11 @@ class SequenceReplay:
 class Collector:
     """Per-environment model state for the two-rate loop, and each env's
     episode so far: env i's records are rows 0 .. length[i] - 1 of the
-    (B, max_records, ...) arrays in `episode`, one per record field.
-    The last row is the open window, its reward summed as the window runs.
-    The state x is float64; h, z and the rollout feed only the networks and
-    are NET_DTYPE."""
+    (B, max_records, ...) arrays in `episode`, one per record field, each
+    opened at a clock tick. The last row is the open window, its reward
+    summed as the window runs; an env with length 0 (reset since the last
+    tick) has no open window. The state x is float64; h, z and the rollout
+    feed only the networks, are NET_DTYPE and a reset zeroes them."""
 
     ARRAYS = ("x", "h", "z", "rollout_cur", "length")
 
@@ -234,17 +236,21 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
                      steps: int, steps_per_tick: int, rng: np.random.Generator,
                      collector: Collector, replay: SequenceReplay,
                      gamma: float, lam: float):
-    """Run B environments for `steps` fast steps, refreshing (h, rollout)
-    every `steps_per_tick` steps of each env's episode, storing PPO rows and
-    model-rate replay records. The record a tick opens in env i at step t
+    """Run B environments for `steps` fast steps on one clock: at every step
+    t with t % steps_per_tick == 0, one model tick refreshes (h, rollout) of
+    all B envs, and each env's open replay record closes and a new one opens.
+    An env reset between clock ticks acts on cleared memory until the next,
+    where its model state starts from the true state; its steps up to it go
+    to PPO but open no record. The record a tick opens in env i at step t
     holds obs[t, i], the executed clip(actions[t, i]) and, once GAE has run,
     returns[t, i]; an episode goes to replay after the GAE of the call that
-    ends it.
+    ends it. `steps` is a multiple of steps_per_tick (the config enforces
+    it), so every call starts on the clock.
 
     Returns (batch: RolloutBatch, obs, priv, success, episode_return), the
     last two arrays over the episodes this call ended, in the order they ended.
     """
-    B = envs.num_envs
+    B, K = envs.num_envs, steps_per_tick
     # PPO rows go straight into (T, B, ...) arrays, the networks' inputs and
     # outputs in NET_DTYPE; values gets the bootstrap row T, and each step's
     # B critic values are computed as it is collected
@@ -257,33 +263,25 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
         actions=net((steps, B, actor.action_dim)), log_probs=net((steps, B)),
         rewards=np.empty((steps, B)), dones=np.empty((steps, B)))
     staged = collector.episode
-    # step t of each staged record opened in this call, -1 for the others
-    tick_step = np.full(staged["reward"].shape, -1)
-    closed = []               # (env, tick_step rows, episode) of episodes ended here
+    envs_all = np.arange(B)
+    closed = []               # (env, step ended, episode) of episodes ended here
     success, episode_return = [], []
 
     for t in range(steps):
-        tick_ids = np.flatnonzero(envs.state.step_count % steps_per_tick == 0)
-        rows = collector.length[tick_ids]
-        if tick_ids.size:
-            x_tick = envs.state.x[tick_ids]
-            # the open record's window ends here and a new one opens
-            staged["obs"][tick_ids, rows] = obs[tick_ids]
-            staged["x"][tick_ids, rows] = x_tick
-            staged["floor_now"][tick_ids, rows] = envs.floor_height(x_tick[:, IDX_PX],
-                                                                     tick_ids)
-            staged["reward"][tick_ids, rows] = 0.0
-            tick_step[tick_ids, rows] = t
-            collector.length[tick_ids] += 1
-            # model tick: posterior update + imagination for the sub-batch
-            x1, h1, z1, rollout_flat = model.tick(
-                obs[tick_ids], collector.x[tick_ids], collector.h[tick_ids],
-                collector.z[tick_ids], rng=rng,
-                floor_fn=partial(envs.floor_height, rows=tick_ids))
-            collector.x[tick_ids] = x1
-            collector.h[tick_ids] = h1
-            collector.z[tick_ids] = z1
-            collector.rollout_cur[tick_ids] = rollout_flat
+        tick = t % K == 0
+        if tick:
+            # every open record's window ends here and a new one opens
+            rows = collector.length.copy()
+            collector.x[rows == 0] = envs.state.x[rows == 0]
+            staged["obs"][envs_all, rows] = obs
+            staged["x"][envs_all, rows] = envs.state.x
+            staged["floor_now"][envs_all, rows] = envs.floor_height(envs.state.x[:, IDX_PX])
+            staged["reward"][envs_all, rows] = 0.0
+            collector.length += 1
+            # model tick: posterior update + imagination for the whole batch
+            collector.x[:], collector.h[:], collector.z[:], collector.rollout_cur[:] = \
+                model.tick(obs, collector.x, collector.h, collector.z, rng=rng,
+                           floor_fn=envs.floor_height)
 
         with no_grad():
             dist = actor(obs, collector.h, collector.rollout_cur)
@@ -293,7 +291,8 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
         # PPO rows keep the raw sample that log_probs scores; the env and the
         # replay records get the executed action, clipped to the box
         executed = np.clip(actions, -1.0, 1.0)
-        staged["action"][tick_ids, rows] = executed[tick_ids]
+        if tick:
+            staged["action"][envs_all, rows] = executed
 
         batch.obs[t] = obs
         batch.priv[t] = priv
@@ -305,7 +304,9 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
         phys = envs.cfg.to_physical(executed)
         obs, priv, out, terminal = envs.step(phys)
         dones = out.code != 0
-        staged["reward"][np.arange(B), collector.length - 1] += out.reward
+        # an env reset since the last clock tick has no open record
+        open_ = np.flatnonzero(collector.length)
+        staged["reward"][open_, collector.length[open_] - 1] += out.reward[open_]
         batch.rewards[t] = out.reward
         batch.dones[t] = dones
         success.append(out.success[dones])
@@ -313,15 +314,14 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
 
         for i, x_end, floor_end in zip(np.flatnonzero(dones), terminal.x, terminal.floor):
             n = collector.length[i]
-            closed.append((i, tick_step[i, :n].copy(), {
+            closed.append((i, t, {
                 **{f: a[i, :n].copy() for f, a in staged.items()},
                 "terminal_x": x_end, "terminal_floor": floor_end}))
-        # a done env's next episode starts from its reset state, memory cleared
-        collector.x[dones] = envs.state.x[dones]
+        # a done env's next episode starts with its memory cleared
         collector.h[dones] = 0.0
         collector.z[dones] = 0.0
+        collector.rollout_cur[dones] = 0.0
         collector.length[dones] = 0
-        tick_step[dones] = -1
 
     # bootstrap value of the state after the last step, then GAE targets
     with no_grad():
@@ -329,12 +329,19 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
     batch.advantages, batch.returns = compute_gae(batch.rewards, values,
                                                   batch.dones, gamma, lam)
 
-    opened = tick_step >= 0
-    staged["value_target"][opened] = batch.returns[tick_step[opened],
-                                                   np.nonzero(opened)[0]]
-    for i, steps_i, episode in closed:
-        opened = steps_i >= 0
-        episode["value_target"][opened] = batch.returns[steps_i[opened], i]
+    def set_value_targets(value_target, env, last):
+        """Targets of an episode's n records whose step `last` is in this call:
+        all open on the clock, the latest at its last tick, so record r at
+        step last - last % K - K * (n - 1 - r); those from an earlier call
+        (a negative step) keep their targets."""
+        opened_at = last - last % K - K * np.arange(len(value_target))[::-1]
+        mine = opened_at >= 0
+        value_target[mine] = batch.returns[opened_at[mine], env]
+
+    for i in envs_all:
+        set_value_targets(staged["value_target"][i, :collector.length[i]], i, steps - 1)
+    for i, last, episode in closed:
+        set_value_targets(episode["value_target"], i, last)
         replay.add_episode(episode)
 
     return batch, obs, priv, np.concatenate(success), np.concatenate(episode_return)
@@ -445,7 +452,6 @@ class Trainer:
         self.collector = Collector(tc.num_envs, config.model.d_h, config.model.d_z,
                                    horizon, self.replay, config.max_episode_records)
         self.obs, self.priv = self.envs.reset_all()
-        self.collector.x[:] = self.envs.state.x
 
         self.iteration = 0
         self.env_steps_total = 0

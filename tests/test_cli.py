@@ -154,6 +154,7 @@ def test_train_window_fields_must_be_positive(tmp_path, capsys, name):
     ("train", "grad_clip_model", 0.0),
     ("train", "grad_clip_ac", -1.0),
     ("train", "grad_clip_ac", float("nan")),
+    ("train", "steps_per_iteration", 121),
 ])
 def test_malformed_config_exits_2_with_field(tmp_path, capsys, section, name, value):
     """Each malformed value is a ConfigError naming its field, raised when

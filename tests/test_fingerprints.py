@@ -19,25 +19,25 @@ from smoke import smoke_config
 # seed: (model, actor, critic checksum prefixes), (planner return, steps),
 # (policy return, steps)
 FINGERPRINTS = {
-    0: (("23916e92bb53", "5c0979e8fdd7", "fac29a803def"),
-        (-6.297797564997136, 45), (64.90735202809, 82)),
-    7: (("c039331cd51f", "a36cd1fdc40a", "9508dbaa5f39"),
-        (26.15056072942234, 19), (11.460420640491233, 14)),
+    0: (("c650ffea41a6", "b66966625b18", "3e5a7f6928fe"),
+        (10.220678417616401, 48), (129.49695287836667, 142)),
+    7: (("c039331cd51f", "ab6be9ad53a2", "8c4e17f98537"),
+        (22.161979037994296, 17), (10.865249792743306, 12)),
 }
 
 # A flat seed whose first three iterations each update the model (seed 7's
 # episodes are too short to fill a model sequence that early).
 MODEL_UPDATE_FINGERPRINTS = {
-    2: (("698d34dc675a", "adbdc0dad1fc", "22753d2b6015"),
-        (107.4642837928888, 96), (132.14073669463656, 99)),
+    2: (("709fa989359a", "47ebd5bf4553", "879bbbfbc314"),
+        (41.60668352528004, 32), (17.206181783810734, 24)),
 }
 
 # Stairs at level 2 with jitter, where the model trains from the first
 # iteration on and the floor lookup leaves flat ground.
 STAIRS = {"terrain_kind": "stairs", "terrain_level": 2, "terrain_jitter": True}
 STAIRS_FINGERPRINTS = {
-    2: (("a45aea618be9", "489b996e1378", "4715303b68bc"),
-        (81.34212544635798, 104), (30.191468154094654, 81)),
+    2: (("52936ea0bd3e", "1b67c11efb77", "4ba333d06f4b"),
+        (42.59249032130105, 47), (57.322793273390864, 72)),
 }
 
 

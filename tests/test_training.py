@@ -150,6 +150,101 @@ def test_collect_h_held_fixed_within_windows(tmp_path):
     assert not np.array_equal(h[0], h[K])
 
 
+def _collect_on_the_clock(tmp_path, steps=240):
+    """A fresh trainer's first collection: four envs on flat ground, where
+    the seeded-init actor ends most episodes between clock ticks. Returns
+    (trainer, batch, episode returns, the (obs, x) of each model.tick call)."""
+    cfg = smoke_config(0, train={"num_envs": 4, "steps_per_iteration": steps})
+    tr = Trainer(cfg, str(tmp_path / "run"))
+    ticked, tick = [], tr.model.tick
+
+    def recording_tick(obs, x, *args, **kwargs):
+        ticked.append((obs.copy(), x.copy()))
+        return tick(obs, x, *args, **kwargs)
+
+    tr.model.tick = recording_tick
+    batch, _, _, _, returns = collect_rollouts(
+        tr.actor, tr.critic, tr.model, tr.envs, tr.obs, tr.priv, steps,
+        cfg.steps_per_tick, tr.rng_collect, tr.collector, tr.replay, 0.99, 0.95)
+    ended = np.argwhere(batch.dones)[:, 0]
+    assert np.count_nonzero((ended + 1) % cfg.steps_per_tick) > 5
+    return tr, batch, returns, ticked
+
+
+def _episodes(dones):
+    """(env, first step, last step) of each episode that `dones` closes, in
+    the order the collector closes them: by step, then by env."""
+    start = np.zeros(dones.shape[1], dtype=np.int64)
+    episodes = []
+    for t, i in np.argwhere(dones):
+        episodes.append((i, start[i], t))
+        start[i] = t + 1
+    return episodes
+
+
+def test_collect_ticks_the_whole_batch_on_one_clock(tmp_path):
+    tr, batch, _, ticked = _collect_on_the_clock(tmp_path)
+    K = tr.cfg.steps_per_tick
+    assert len(ticked) == 240 // K
+    for w, (obs, _) in enumerate(ticked):
+        assert obs.shape == (4, tr.cfg.env.obs_dim)
+        assert np.array_equal(obs.astype(batch.obs.dtype), batch.obs[w * K])
+
+
+def test_env_reset_between_ticks_acts_on_cleared_memory(tmp_path):
+    tr, batch, _, _ = _collect_on_the_clock(tmp_path)
+    K, T = tr.cfg.steps_per_tick, batch.rewards.shape[0]
+    checked = 0
+    for i, first, _ in _episodes(batch.dones):
+        clock = -(-first // K) * K
+        if first == clock or clock >= T:
+            continue
+        assert not batch.h[first:clock, i].any()
+        assert not batch.rollout[first:clock, i].any()
+        assert batch.h[clock, i].any() and batch.rollout[clock, i].any()
+        checked += 1
+    assert checked > 5
+    # the rewards of steps with no open record land in no staged row: the
+    # last row of the staging area, which no episode reached, stays zero
+    staged = tr.collector.episode["reward"]
+    assert max(tr.collector.length.max(), tr.replay.episodes["length"].max()) \
+        < staged.shape[1]
+    assert not staged[:, -1].any()
+
+
+def test_replay_records_open_on_the_clock(tmp_path):
+    """Each closed episode's records open at the clock ticks of its run, one
+    per tick: a record holds the obs and the GAE return of its tick and the
+    summed rewards of its window, so together the records hold the episode's
+    return minus the rewards of its steps before its first tick. The model
+    state of the episode's first tick is the true state there."""
+    tr, batch, returns, ticked = _collect_on_the_clock(tmp_path)
+    K = tr.cfg.steps_per_tick
+    episodes = _episodes(batch.dones)
+    assert len(episodes) == len(returns)
+    stored = zip(tr.replay.episodes["start"], tr.replay.episodes["length"])
+    pre_tick = 0
+    for (i, first, last), episode_return in zip(episodes, returns):
+        rewards = batch.rewards[:, i]
+        assert rewards[first:last + 1].sum() == pytest.approx(episode_return, abs=1e-9)
+        ticks = np.arange(-(-first // K) * K, last + 1, K)
+        if len(ticks) < 2:                      # too short for replay
+            continue
+        start, n = next(stored)
+        assert n == len(ticks)
+        records = {f: ring[start:start + n] for f, ring in tr.replay.rows.items()}
+        windows = [rewards[t:min(t + K, last + 1)].sum() for t in ticks]
+        assert records["reward"] == pytest.approx(windows, abs=1e-12)
+        assert records["reward"].sum() == pytest.approx(
+            episode_return - rewards[first:ticks[0]].sum(), abs=1e-9)
+        assert np.array_equal(records["obs"].astype(batch.obs.dtype), batch.obs[ticks, i])
+        assert np.array_equal(records["value_target"], batch.returns[ticks, i])
+        assert np.array_equal(ticked[ticks[0] // K][1][i], records["x"][0])
+        pre_tick += ticks[0] > first
+    assert next(stored, None) is None
+    assert pre_tick > 5
+
+
 def test_collect_rewards_match_env_replay():
     """Scripted constant actions: a one-env batch and a PlanarEnv built from
     the batch's child seed earn exactly the same rewards."""
@@ -346,7 +441,8 @@ def test_resume_rejects_agent_checkpoint(tmp_path):
         tr.load_resume_state(str(path))
 
 
-@pytest.mark.parametrize("kind", ["kinoplan-resume-2", "kinoplan-resume-3"])
+@pytest.mark.parametrize("kind", ["kinoplan-resume-2", "kinoplan-resume-3",
+                                  "kinoplan-resume-4"])
 def test_resume_rejects_previous_resume_kind(tmp_path, kind):
     tr = _resume_trainer(tmp_path, "a")
     path = tmp_path / "state.kpt"
