@@ -140,8 +140,9 @@ class ExperimentConfig:
             raise ConfigError("env.terrain_level", f"must lie in 0..{MAX_LEVEL}")
         if not all(lo < hi for lo, hi in zip(env.action_low, env.action_high)):
             raise ConfigError("env.action_low", "must lie below action_high")
-        if env.max_steps < 1:
-            raise ConfigError("env.max_steps", "must be >= 1")
+        for name in ("max_steps", "scan_every"):
+            if getattr(env, name) < 1:
+                raise ConfigError(f"env.{name}", "must be >= 1")
         for name in ("sigma_lin", "sigma_ang"):
             if not getattr(env, name) > 0.0:
                 raise ConfigError(f"env.{name}", "tracking scale must be positive")

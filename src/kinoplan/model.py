@@ -15,10 +15,12 @@ given, otherwise the dynamics prior. `tick` is one model-rate refresh: embed
 the observation, roll H steps with the internal policy (the first through
 the encoder) and return the post-encoder state with the imagined rollout
 relative to it. Training collection, policy evaluation and the planner
-adapter all call these two; `model_loss` is the training-time path. The
-floor lookup is an explicit `floor_fn` argument, never model state. The
-public methods cast their network inputs to the model's dtype once; the
-layers below them do not cast.
+adapter all call these two. `model_loss` is the training-time path: per
+time step it runs only the recurrence (the posterior latent, its draw and
+the GRU), and the embedding, prior, heads and integrator once over all L·B
+rows. The floor lookup is an explicit `floor_fn` argument, never model
+state. The public methods cast their network inputs to the model's dtype
+once; the layers below them do not cast.
 
 The model takes the env's observation and action layout from `env`'s
 constants (HISTORY_SIZE proprio columns, then SCAN_RAYS readings scaled by
@@ -206,6 +208,11 @@ class InternalModel(Module):
 
     # -- distribution heads -------------------------------------------------------
 
+    def _gru_input(self, x, z, a) -> Tensor:
+        """The GRU's input [state features, latent, action] in the model's
+        dtype, off the tape: the latent enters as a constant."""
+        return Tensor(np.concatenate([x_features(x), z, a], axis=-1, dtype=self.dtype))
+
     def _y_input(self, x, h, z) -> Tensor:
         dtype = self.dtype
         feats = Tensor(x_features(np.atleast_2d(x)).astype(dtype))
@@ -231,10 +238,8 @@ class InternalModel(Module):
 
         Returns the next (x, h, z) as arrays.
         """
-        dtype = self.dtype
-        gin = np.concatenate([x_features(x), z, a], axis=-1, dtype=dtype)
         with no_grad():
-            h_next = self.gru(Tensor(gin), ad.astype(h, dtype)).data
+            h_next = self.gru(self._gru_input(x, z, a), ad.astype(h, self.dtype)).data
             if e is not None:
                 z_next, _, x_next = self.posterior_update(e, h_next, x, rng=rng)
             else:
@@ -286,69 +291,60 @@ class InternalModel(Module):
     # -- training loss ----------------------------------------------------------------
 
     def model_loss(self, batch: dict, rng: np.random.Generator):
-        """Combined supervised loss over length-L sequences (sum over time,
-        mean over the batch). Returns (scalar Tensor, per-term float dict)."""
+        """Combined supervised loss over length-L sequences, each term the sum
+        over time of its batch mean. Returns (scalar Tensor, per-term float
+        dict). Only `post_z` on (e_t, h_t), the latent draw and the GRU step
+        run per step. Once over the L·B time-major rows run the embedding
+        (before the loop), the prior and KL on the pre-step memories, the
+        heads on y = [x features, h, z] and `posterior_x`, and the wrench and
+        integrator on the post-step memories (after it)."""
         for name in _BATCH_FIELDS:
             if name not in batch:
                 raise DataError(f"batch missing field '{name}'")
+        bsz, L = np.shape(batch["reward"])
+
+        def rows(name, dtype):
+            """A (B, L, ...) field as (L·B, ...) time-major rows, (L·B, 1) for (B, L)."""
+            return np.asarray(batch[name], dtype=dtype).swapaxes(0, 1).reshape(L * bsz, -1)
+
         dtype = self.dtype
-        obs = np.asarray(batch["obs"], dtype=dtype)
-        action = np.asarray(batch["action"], dtype=dtype)
-        reward = np.asarray(batch["reward"], dtype=dtype)
-        value_t = np.asarray(batch["value_target"], dtype=dtype)
-        x_sim = np.asarray(batch["x"], dtype=np.float64)
-        x_next_sim = np.asarray(batch["x_next"], dtype=np.float64)
-        x_prev0 = np.asarray(batch["x_prev"], dtype=np.float64)
-        floor_now = np.asarray(batch["floor_now"], dtype=np.float64)
-        floor_next = np.asarray(batch["floor_next"], dtype=np.float64)
-        bsz, L = reward.shape
+        obs, action = rows("obs", dtype), rows("action", dtype)
+        x, x_next = rows("x", np.float64), rows("x_next", np.float64)
+        x_prev = np.concatenate([batch["x_prev"], x[:-bsz]], dtype=np.float64)
 
+        e = self.embed(obs)
         h = Tensor(np.zeros((bsz, self.cfg.d_h), dtype=dtype))
-        totals = {k: None for k in LOSS_TERMS}
-
-        def accumulate(key, value):
-            totals[key] = value if totals[key] is None else totals[key] + value
-
-        obs_targets = self.obs_target(obs)
+        hs, zs, posts = [h], [], []
         for t in range(L):
-            e_t = self.embed(obs[:, t])
-            post = self.post_z(ad.concat([e_t, h], axis=-1))
-            prior = self.prior_z(h)
-            z_t = post.sample(noise=rng.standard_normal(post.mean.data.shape))
-            a_t = action[:, t]
-            y_t = ad.concat([Tensor(x_features(x_sim[:, t]).astype(dtype)), h, z_t],
-                            axis=-1)
+            now = slice(t * bsz, (t + 1) * bsz)
+            posts.append(self.post_z(ad.concat([e[now], h], axis=-1)))
+            zs.append(posts[-1].sample(noise=rng.standard_normal((bsz, self.cfg.d_z))))
+            h = self.gru(self._gru_input(x[now], zs[-1].data, action[now]), h)
+            hs.append(h)
 
-            accumulate("reward_nll", -ad.mean(
-                self.reward_head(ad.concat([y_t, Tensor(a_t)], axis=-1))
-                .log_prob(reward[:, t, None])))
-            accumulate("value_nll", -ad.mean(
-                self.value_head(y_t).log_prob(value_t[:, t, None])))
-            accumulate("latent_kl", ad.mean(post.kl(prior)))
-            accumulate("action_cloning", -ad.mean(self.policy_head(y_t).log_prob(a_t)))
-            accumulate("reconstruction", -ad.mean(
-                self.decoder(y_t).log_prob(obs_targets[:, t])))
-
-            x_prev_t = x_prev0 if t == 0 else x_sim[:, t - 1]
-            x_hat = self.posterior_x(e_t, h, x_prev_t)
-            com = ad.mean(ad.sum_(ad.square(x_hat - x_sim[:, t]), axis=-1))
-
-            h_next = self.gru(
-                Tensor(np.concatenate([x_features(x_sim[:, t]), z_t.data, a_t], axis=-1,
-                                      dtype=dtype)),
-                h)
-            # the prior state prediction conditions on the post-action memory
-            floors = iter((floor_now[:, t], floor_next[:, t]))
-            x_hat_next = self.integrate(x_sim[:, t], self.wrench(h_next),
-                                        lambda px: next(floors))
-            com = com + ad.mean(ad.sum_(ad.square(x_hat_next - x_next_sim[:, t]), axis=-1))
-            accumulate("com", com)
-            h = h_next
+        h_pre, h_post = ad.concat(hs[:-1], axis=0), ad.concat(hs[1:], axis=0)
+        post = DiagonalGaussian(ad.concat([p.mean for p in posts], axis=0),
+                                ad.concat([p.log_std for p in posts], axis=0))
+        y = self._y_input(x, h_pre, ad.concat(zs, axis=0))
+        # the prior state prediction conditions on the post-action memory
+        floors = (rows(name, np.float64)[:, 0] for name in ("floor_now", "floor_next"))
+        x_hat_next = self.integrate(x, self.wrench(h_post), lambda px: next(floors))
+        per_row = {
+            "reward_nll": -self.reward_head(ad.concat([y, Tensor(action)], axis=-1))
+            .log_prob(rows("reward", dtype)),
+            "value_nll": -self.value_head(y).log_prob(rows("value_target", dtype)),
+            "latent_kl": post.kl(self.prior_z(h_pre)),
+            "action_cloning": -self.policy_head(y).log_prob(action),
+            "com": ad.sum_(ad.square(self.posterior_x(e, h_pre, x_prev) - x), axis=-1)
+            + ad.sum_(ad.square(x_hat_next - x_next), axis=-1),
+            "reconstruction": -self.decoder(y).log_prob(self.obs_target(obs)),
+        }
 
         breakdown = {}
         loss = None
         for key in LOSS_TERMS:
-            term = ad.astype(totals[key], np.float64)   # summed in float64, like com
+            # the sum over time of batch means: all L·B rows summed in float64, over B
+            term = ad.sum_(ad.astype(per_row[key], np.float64)) * (1.0 / bsz)
             value = float(term.data)
             if not np.isfinite(value):
                 raise TrainingError(f"non-finite model loss term '{key}'")

@@ -1,7 +1,8 @@
 """Independent oracles: these implement the expected quantities by a route
 separate from the library code they check (finite differences, closed-form
-densities, a scalar optimizer re-implementation, Riccati recursion, and
-composites of elementary ops for autodiff's one-node ops)."""
+densities, a scalar optimizer re-implementation, Riccati recursion,
+composites of elementary ops for autodiff's one-node ops, and the model
+loss unrolled one time step at a time)."""
 
 import math
 
@@ -9,8 +10,9 @@ import numpy as np
 
 from kinoplan import autodiff as ad
 from kinoplan.autodiff import Tensor
-from kinoplan.errors import DimensionError
-from kinoplan.state import IDX_OFFSET, IDX_PZ
+from kinoplan.errors import DataError, DimensionError, TrainingError
+from kinoplan.model import LOSS_TERMS
+from kinoplan.state import IDX_OFFSET, IDX_PZ, x_features
 
 
 def numeric_gradient(f, param_data: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -279,3 +281,77 @@ def composite_integrate(body, dt, x_prev, wrench, floor_at=None):
 
     cols = [px2, pz2, th2, vx2, vz2, om2, d2]
     return ad.concat([ad.reshape(c, (n, 1)) for c in cols], axis=-1)
+
+
+def looped_model_loss(model, batch: dict, rng: np.random.Generator):
+    """`InternalModel.model_loss` with every term computed inside the time
+    loop, one B-row step at a time: the reference for the batched loss. It
+    makes the same latent draws from `rng` in the same order."""
+    for name in ListReplay.FIELDS:
+        if name not in batch:
+            raise DataError(f"batch missing field '{name}'")
+    dtype = model.dtype
+    obs = np.asarray(batch["obs"], dtype=dtype)
+    action = np.asarray(batch["action"], dtype=dtype)
+    reward = np.asarray(batch["reward"], dtype=dtype)
+    value_t = np.asarray(batch["value_target"], dtype=dtype)
+    x_sim = np.asarray(batch["x"], dtype=np.float64)
+    x_next_sim = np.asarray(batch["x_next"], dtype=np.float64)
+    x_prev0 = np.asarray(batch["x_prev"], dtype=np.float64)
+    floor_now = np.asarray(batch["floor_now"], dtype=np.float64)
+    floor_next = np.asarray(batch["floor_next"], dtype=np.float64)
+    bsz, L = reward.shape
+
+    h = Tensor(np.zeros((bsz, model.cfg.d_h), dtype=dtype))
+    totals = {k: None for k in LOSS_TERMS}
+
+    def accumulate(key, value):
+        totals[key] = value if totals[key] is None else totals[key] + value
+
+    obs_targets = model.obs_target(obs)
+    for t in range(L):
+        e_t = model.embed(obs[:, t])
+        post = model.post_z(ad.concat([e_t, h], axis=-1))
+        prior = model.prior_z(h)
+        z_t = post.sample(noise=rng.standard_normal(post.mean.data.shape))
+        a_t = action[:, t]
+        y_t = ad.concat([Tensor(x_features(x_sim[:, t]).astype(dtype)), h, z_t], axis=-1)
+
+        accumulate("reward_nll", -ad.mean(
+            model.reward_head(ad.concat([y_t, Tensor(a_t)], axis=-1))
+            .log_prob(reward[:, t, None])))
+        accumulate("value_nll", -ad.mean(
+            model.value_head(y_t).log_prob(value_t[:, t, None])))
+        accumulate("latent_kl", ad.mean(post.kl(prior)))
+        accumulate("action_cloning", -ad.mean(model.policy_head(y_t).log_prob(a_t)))
+        accumulate("reconstruction", -ad.mean(
+            model.decoder(y_t).log_prob(obs_targets[:, t])))
+
+        x_prev_t = x_prev0 if t == 0 else x_sim[:, t - 1]
+        x_hat = model.posterior_x(e_t, h, x_prev_t)
+        com = ad.mean(ad.sum_(ad.square(x_hat - x_sim[:, t]), axis=-1))
+
+        h_next = model.gru(
+            Tensor(np.concatenate([x_features(x_sim[:, t]), z_t.data, a_t], axis=-1,
+                                  dtype=dtype)),
+            h)
+        # the prior state prediction conditions on the post-action memory
+        floors = iter((floor_now[:, t], floor_next[:, t]))
+        x_hat_next = model.integrate(x_sim[:, t], model.wrench(h_next),
+                                     lambda px: next(floors))
+        com = com + ad.mean(ad.sum_(ad.square(x_hat_next - x_next_sim[:, t]), axis=-1))
+        accumulate("com", com)
+        h = h_next
+
+    breakdown = {}
+    loss = None
+    for key in LOSS_TERMS:
+        term = ad.astype(totals[key], np.float64)
+        value = float(term.data)
+        if not np.isfinite(value):
+            raise TrainingError(f"non-finite model loss term '{key}'")
+        breakdown[key] = value
+        weighted = term * model.cfg.beta_kl if key == "latent_kl" else term
+        loss = weighted if loss is None else loss + weighted
+    breakdown["total"] = float(loss.data)
+    return loss, breakdown

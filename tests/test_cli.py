@@ -155,6 +155,7 @@ def test_train_window_fields_must_be_positive(tmp_path, capsys, name):
     ("train", "grad_clip_ac", -1.0),
     ("train", "grad_clip_ac", float("nan")),
     ("train", "steps_per_iteration", 121),
+    ("env", "scan_every", 0),
 ])
 def test_malformed_config_exits_2_with_field(tmp_path, capsys, section, name, value):
     """Each malformed value is a ConfigError naming its field, raised when
@@ -170,6 +171,21 @@ def test_malformed_config_exits_2_with_field(tmp_path, capsys, section, name, va
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+def test_zero_scan_every_is_a_config_error(tmp_path, capsys):
+    """`env.scan_every` 0 with a model timestep that rounds to 0 env steps
+    passes the two-rate check; validate refuses it before dividing by it."""
+    data = smoke_config(0).to_dict()
+    data["env"]["scan_every"] = 0
+    data["model"]["dt_model"] = 0.001
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(data)
+    assert err.value.field == "env.scan_every"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+    assert "env.scan_every" in capsys.readouterr().err
 
 
 def test_train_creates_run_directory(tmp_path):

@@ -19,8 +19,8 @@ from smoke import smoke_config
 # seed: (model, actor, critic checksum prefixes), (planner return, steps),
 # (policy return, steps)
 FINGERPRINTS = {
-    0: (("c650ffea41a6", "b66966625b18", "3e5a7f6928fe"),
-        (10.220678417616401, 48), (129.49695287836667, 142)),
+    0: (("25a9d0e34ecc", "141260673862", "ee24e980e2c3"),
+        (10.21963439446817, 48), (130.72032786550756, 143)),
     7: (("c039331cd51f", "ab6be9ad53a2", "8c4e17f98537"),
         (22.161979037994296, 17), (10.865249792743306, 12)),
 }
@@ -28,16 +28,16 @@ FINGERPRINTS = {
 # A flat seed whose first three iterations each update the model (seed 7's
 # episodes are too short to fill a model sequence that early).
 MODEL_UPDATE_FINGERPRINTS = {
-    2: (("709fa989359a", "47ebd5bf4553", "879bbbfbc314"),
-        (41.60668352528004, 32), (17.206181783810734, 24)),
+    2: (("43cdfa5f143c", "8ca5071f9e80", "c131e3ca2031"),
+        (41.60667205530938, 32), (17.20616784362256, 24)),
 }
 
 # Stairs at level 2 with jitter, where the model trains from the first
 # iteration on and the floor lookup leaves flat ground.
 STAIRS = {"terrain_kind": "stairs", "terrain_level": 2, "terrain_jitter": True}
 STAIRS_FINGERPRINTS = {
-    2: (("52936ea0bd3e", "1b67c11efb77", "4ba333d06f4b"),
-        (42.59249032130105, 47), (57.322793273390864, 72)),
+    2: (("7b7a3f2c4392", "12120d3d81b8", "a9f37da69ffb"),
+        (47.10453531879574, 46), (11.008749764733622, 45)),
 }
 
 

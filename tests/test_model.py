@@ -22,8 +22,11 @@ from kinoplan.policy import Actor, Critic
 from kinoplan.state import (BodyParams, ModelState, X_DIM, advance_state,
                             x_features)
 from kinoplan.terrain import build_terrain
+from kinoplan.training import Trainer
 
-from oracles import composite_integrate, max_relative_error, numeric_gradient
+from oracles import (composite_integrate, looped_model_loss, max_relative_error,
+                     numeric_gradient)
+from smoke import smoke_config
 
 CFG = ModelConfig(d_h=24, d_z=6, d_e=16, embed_hidden=16, head_hidden=16,
                   decoder_hidden=24, imagination_horizon=4)
@@ -429,7 +432,50 @@ def test_model_loss_and_gradients_pinned_at_full_size():
         assert p.grad is not None and p.grad.dtype == np.float32, name
         digest.update(name.encode())
         digest.update(p.grad.tobytes())
-    assert digest.hexdigest() == "242aee0a32ebe69b1230ecda3d4dc06a9711307cf4ee851a9bc6644313ee1813"
+    assert digest.hexdigest() == "a47a12f3bb46906312bf0b9f71405db95531d88a2abb50dbadef1f64aadd3e03"
+
+
+def test_batched_model_loss_matches_looped_oracle(tmp_path):
+    """On a replay batch of a smoke run on stairs, the batched loss gives the
+    loop's terms to float32 rounding and its gradients to 1e-5 of each
+    parameter's largest entry, and draws the same latent noise."""
+    cfg = smoke_config(2, env={"terrain_kind": "stairs", "terrain_level": 2,
+                               "terrain_jitter": True})
+    tr = Trainer(cfg, str(tmp_path / "run"))
+    assert tr.run_iteration()["model_updates"] > 0
+    batch = tr.replay.sample_sequences(cfg.train.model_batch, cfg.train.model_seq_len,
+                                       np.random.default_rng(0))
+    results = []
+    for loss_fn in (tr.model.model_loss, lambda b, r: looped_model_loss(tr.model, b, r)):
+        draws = np.random.default_rng(11)
+        tr.opt_model.zero_grad()
+        loss, breakdown = loss_fn(batch, draws)
+        loss.backward()
+        grads = {k: p.grad.copy() for k, p in tr.model.named_parameters().items()}
+        results.append((breakdown, grads, draws.bit_generator.state))
+    (got, got_grads, got_state), (want, want_grads, want_state) = results
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key] == pytest.approx(want[key], rel=1e-6, abs=0.0), key
+    for name, g in want_grads.items():
+        scale = float(np.max(np.abs(g)))
+        assert np.max(np.abs(got_grads[name] - g)) <= 1e-5 * scale, name
+    assert got_state == want_state
+
+
+def test_model_loss_graph_stays_batched_at_full_size(rng):
+    """One default-size model update (B=16, L=16) stays a graph of a few
+    hundred tensors: the loop over time steps holds only the recurrence.
+    A loss unrolled per step in full builds 2880."""
+    model = InternalModel(ModelConfig(), BODY, rng)
+    loss, _ = model.model_loss(_batch(model, rng, B=16, L=16), rng)
+    seen, stack = set(), [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(t._parents)
+    assert len(seen) <= 600
 
 
 def test_model_loss_deterministic_given_rng(model, rng):
