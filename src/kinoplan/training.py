@@ -353,7 +353,8 @@ def ppo_update(batch: RolloutBatch, actor: Actor, critic: Critic, optimizer: Ada
                grad_clip: float = 1.0) -> dict:
     """Clipped-surrogate PPO over the flattened batch, advantages normalized;
     the internal model is untouched by construction (h/rollout enter as constants).
-    The actions and the GAE targets enter the loss in NET_DTYPE."""
+    The actions and the GAE targets enter the loss in NET_DTYPE; the actor's and
+    the critic's gradients are clipped to `grad_clip` each, not jointly."""
     T, B = batch.rewards.shape
     n = T * B
     obs = batch.obs.reshape(n, -1)
@@ -388,7 +389,8 @@ def ppo_update(batch: RolloutBatch, actor: Actor, critic: Critic, optimizer: Ada
             raise TrainingError("non-finite PPO loss")
         optimizer.zero_grad()
         loss.backward()
-        clip_grad_norm(optimizer.params, grad_clip)
+        for net in (actor, critic):
+            clip_grad_norm(net.named_parameters(), grad_clip)
         optimizer.step()
         return {"policy_loss": float(-policy_term.data),
                 "value_loss": float(value_loss.data),

@@ -583,24 +583,30 @@ def test_first_ppo_update_stays_in_trust_region(tmp_path, seed, monkeypatch):
     assert row["ppo"]["clip_fraction"] < 15 / 16
 
 
-def _ppo_peak_increase(minibatches: int, rows: int) -> int:
-    """Traced peak during one PPO epoch over `minibatches` minibatches of
-    `rows` rows each, above the traced level at entry."""
+def _random_ppo_problem(T: int, hidden: tuple[int, ...], return_scale: float = 1.0):
+    """A seeded actor and critic, an Adam over both and a random (T, 4)
+    rollout batch; returns them with the generator they were drawn from."""
     rng = np.random.default_rng(0)
     obs_dim, priv_dim, d_h, horizon, act = 12, 14, 8, 2, 3
-    actor = Actor(obs_dim, d_h, horizon, act, rng, hidden=(64, 64))
-    critic = Critic(priv_dim, d_h, horizon, rng, hidden=(64, 64))
+    actor = Actor(obs_dim, d_h, horizon, act, rng, hidden=hidden)
+    critic = Critic(priv_dim, d_h, horizon, rng, hidden=hidden)
     params = {f"actor.{k}": v for k, v in actor.named_parameters().items()}
     params.update({f"critic.{k}": v for k, v in critic.named_parameters().items()})
-    opt = Adam(params, lr=1e-4)
-    T, B = minibatches * rows // 4, 4
+    B = 4
     batch = training.RolloutBatch(
         obs=rng.normal(size=(T, B, obs_dim)), priv=rng.normal(size=(T, B, priv_dim)),
         h=rng.normal(size=(T, B, d_h)), rollout=rng.normal(size=(T, B, horizon * 7)),
         actions=rng.normal(size=(T, B, act)), log_probs=rng.normal(size=(T, B)) - 3.0,
         rewards=rng.normal(size=(T, B)), dones=np.zeros((T, B)),
         advantages=rng.normal(size=(T, B)),
-        returns=rng.normal(size=(T, B)))
+        returns=rng.normal(size=(T, B)) * return_scale)
+    return batch, actor, critic, Adam(params, lr=1e-4), rng
+
+
+def _ppo_peak_increase(minibatches: int, rows: int) -> int:
+    """Traced peak during one PPO epoch over `minibatches` minibatches of
+    `rows` rows each, above the traced level at entry."""
+    batch, actor, critic, opt, rng = _random_ppo_problem(minibatches * rows // 4, (64, 64))
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
@@ -617,3 +623,20 @@ def test_ppo_update_memory_does_not_grow_with_minibatches():
     one = _ppo_peak_increase(1, 512)
     four = _ppo_peak_increase(4, 512)
     assert four < 1.5 * one, (one, four)
+
+
+def test_critic_error_does_not_scale_the_actor_step():
+    """The actor's and the critic's gradients are clipped each on its own:
+    returns 100x larger change the critic's loss and gradient, and must
+    leave every actor update bit for bit as it was. Under one joint norm
+    the critic's gradient sets the actor's scale from minibatch to
+    minibatch, and Adam turns those swings into different steps."""
+    def after(return_scale):
+        batch, actor, critic, opt, rng = _random_ppo_problem(16, (16, 16), return_scale)
+        opt.lr = 1e-3
+        ppo_update(batch, actor, critic, opt, rng, epochs=2, minibatches=4, grad_clip=1.0)
+        return param_checksum(actor), param_checksum(critic)
+
+    (actor_1, critic_1), (actor_100, critic_100) = after(1.0), after(100.0)
+    assert critic_1 != critic_100
+    assert actor_1 == actor_100
