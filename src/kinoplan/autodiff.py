@@ -3,7 +3,10 @@
 A dynamic tape: each op returns a new Tensor holding references to its
 parents and a closure that routes the incoming gradient to them. Only the
 operations this package actually uses are implemented. Gradients for a
-scalar loss are obtained with ``loss.backward()``.
+scalar loss are obtained with ``loss.backward()``, which releases the graph
+as it goes: a graph can be backpropagated once. Grad mode (`_GRAD_ENABLED`,
+off inside `no_grad`) is one flag per process, not per thread; PPO's actor
+and critic passes run on two threads, and neither enters `no_grad`.
 
 The dtype rule: every tensor keeps its own float dtype, and all tensor
 operands of an op on the tape share one dtype. A Python scalar adopts that
@@ -104,15 +107,19 @@ class Tensor:
                     stack.append((p, False))
 
         grads = {id(self): grad}
-        for node in reversed(order):
+        while order:
+            # drop each node's closure and parents once read: activations go early
+            node = order.pop()
+            parents, backward, node._parents, node._backward = \
+                node._parents, node._backward, (), None
             g = grads.pop(id(node), None)
             if g is None:
                 continue
             if node.requires_grad:
                 node.grad = g if node.grad is None else node.grad + g
-            if node._backward is None:
+            if backward is None:
                 continue
-            for parent, pg in zip(node._parents, node._backward(g)):
+            for parent, pg in zip(parents, backward(g)):
                 if pg is None:
                     continue
                 key = id(parent)
@@ -326,7 +333,9 @@ def dense(x, w, b, elu: bool = False) -> Tensor:
 
     def backward(g):
         if elu:
-            g = g * _elu_slope(data)
+            slope = _elu_slope(data)    # laid out as data, like g * slope
+            slope *= g                  # in place: one (N, out) temporary, not two
+            g = slope
         return (g @ w.data.T if need_x else None,
                 x.data.T @ g if need_w else None,
                 g.sum(axis=0) if need_b else None)

@@ -11,12 +11,18 @@ state and floor height at the tick, the window's summed reward and its
 value target. Each record field is an array with a row per record, staged
 per env by `Collector` and kept in rings by `SequenceReplay`; the state at
 a window's end is the next row's, or the episode's terminal state.
+
+PPO splits each minibatch into the actor's pass (surrogate and entropy) and
+the critic's (value loss), each a forward, its backward and its network's
+gradient clip. The two graphs share only constants, so with the critic's on
+a worker thread the bits are those of one backward of the joint loss.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -25,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import no_grad
 from .config import ExperimentConfig
-from .env import EnvBatch, curriculum_advance
+from .env import OBS_DIM, EnvBatch, curriculum_advance
 from .errors import ArtifactMismatchError, DataError, TrainingError
 from .model import InternalModel, LOSS_TERMS
 from .nn import (NET_DTYPE, Adam, check_arrays, clip_grad_norm, load_checkpoint,
@@ -42,7 +48,6 @@ RESUME_KIND = "kinoplan-resume-5"
 class RolloutBatch:
     """On-policy arrays over (T, B), with their GAE advantages and returns."""
 
-    obs: np.ndarray
     priv: np.ndarray
     h: np.ndarray
     rollout: np.ndarray
@@ -52,6 +57,8 @@ class RolloutBatch:
     dones: np.ndarray
     advantages: np.ndarray | None = None
     returns: np.ndarray | None = None
+
+    obs = property(lambda self: self.priv[..., :OBS_DIM])    # not stored: obs leads priv
 
     @property
     def size(self) -> int:
@@ -257,8 +264,7 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
     values = np.empty((steps + 1, B))
     net = partial(np.empty, dtype=NET_DTYPE)
     batch = RolloutBatch(
-        obs=net((steps, *obs.shape)), priv=net((steps, *priv.shape)),
-        h=net((steps, *collector.h.shape)),
+        priv=net((steps, *priv.shape)), h=net((steps, *collector.h.shape)),
         rollout=net((steps, *collector.rollout_cur.shape)),
         actions=net((steps, B, actor.action_dim)), log_probs=net((steps, B)),
         rewards=np.empty((steps, B)), dones=np.empty((steps, B)))
@@ -294,7 +300,6 @@ def collect_rollouts(actor: Actor, critic: Critic, model: InternalModel,
         if tick:
             staged["action"][envs_all, rows] = executed
 
-        batch.obs[t] = obs
         batch.priv[t] = priv
         batch.h[t] = collector.h
         batch.rollout[t] = collector.rollout_cur
@@ -353,11 +358,13 @@ def ppo_update(batch: RolloutBatch, actor: Actor, critic: Critic, optimizer: Ada
                grad_clip: float = 1.0) -> dict:
     """Clipped-surrogate PPO over the flattened batch, advantages normalized;
     the internal model is untouched by construction (h/rollout enter as constants).
-    The actions and the GAE targets enter the loss in NET_DTYPE; the actor's and
-    the critic's gradients are clipped to `grad_clip` each, not jointly."""
-    T, B = batch.rewards.shape
-    n = T * B
-    obs = batch.obs.reshape(n, -1)
+    The actions and the GAE targets enter the loss in NET_DTYPE. The critic's
+    pass runs on one worker thread that lives as long as this call, beside the
+    actor's on this one (after it, here, if the process may use one CPU); numpy
+    releases the GIL in BLAS and ufuncs, so both cores work. Each pass clips its
+    network's gradients to `grad_clip` (stats: the pre-clip norms' means), and
+    the one Adam step follows a check that the joint loss is finite."""
+    n = batch.rewards.size
     priv = batch.priv.reshape(n, -1)
     h = batch.h.reshape(n, -1)
     roll = batch.rollout.reshape(n, -1)
@@ -367,11 +374,8 @@ def ppo_update(batch: RolloutBatch, actor: Actor, critic: Critic, optimizer: Ada
     adv = ((adv - adv.mean()) / (adv.std() + 1e-8)).astype(NET_DTYPE)
     returns = batch.returns.reshape(n).astype(NET_DTYPE)
 
-    def minibatch_step(mb) -> dict:
-        """One optimizer step on rows `mb`. Only floats leave it, so its tape
-        is freed before the next minibatch builds one."""
-        h_mb, roll_mb = h[mb], roll[mb]         # one gather, shared by both networks
-        dist = actor(obs[mb], h_mb, roll_mb)
+    def actor_pass(mb, priv_mb, h_mb, roll_mb):
+        dist = actor(priv_mb[:, :actor.obs_dim], h_mb, roll_mb)    # obs leads priv
         logp = dist.log_prob(actions[mb])
         ratio = ad.exp(logp - logp_old[mb])
         finite = np.isfinite(ratio.data)
@@ -382,33 +386,44 @@ def ppo_update(batch: RolloutBatch, actor: Actor, critic: Critic, optimizer: Ada
         denom = max(int(finite.sum()), 1)
         policy_term = ad.sum_(surr) * (1.0 / denom)
         entropy = ad.mean(dist.entropy())
-        vpred = critic(priv[mb], h_mb, roll_mb)
-        value_loss = ad.mean(ad.square(vpred - returns[mb]))
-        loss = -policy_term - entropy_coef * entropy + value_loss
-        if not np.isfinite(float(loss.data)):
-            raise TrainingError("non-finite PPO loss")
-        optimizer.zero_grad()
+        loss = -policy_term - entropy_coef * entropy
         loss.backward()
-        for net in (actor, critic):
-            clip_grad_norm(net.named_parameters(), grad_clip)
-        optimizer.step()
-        return {"policy_loss": float(-policy_term.data),
-                "value_loss": float(value_loss.data),
-                "entropy": float(entropy.data),
-                "clip_fraction": float(np.mean(np.abs(ratio.data - 1.0) > clip_ratio)),
-                "skipped": int((~finite).sum())}
+        return loss.data, {
+            "policy_loss": float(-policy_term.data), "entropy": float(entropy.data),
+            "clip_fraction": float(np.mean(np.abs(ratio.data - 1.0) > clip_ratio)),
+            "skipped": int((~finite).sum()),
+            "grad_norm_actor": clip_grad_norm(actor.named_parameters(), grad_clip)}
 
-    stats = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0,
-             "clip_fraction": 0.0, "skipped": 0}
-    updates = 0
-    for _ in range(epochs):
-        perm = rng.permutation(n)
-        for mb in np.array_split(perm, minibatches):
-            for key, value in minibatch_step(mb).items():
-                stats[key] += value
-            updates += 1
-    for key in ("policy_loss", "value_loss", "entropy", "clip_fraction"):
-        stats[key] /= max(updates, 1)
+    def critic_pass(mb, priv_mb, h_mb, roll_mb):
+        value_loss = ad.mean(ad.square(critic(priv_mb, h_mb, roll_mb) - returns[mb]))
+        value_loss.backward()
+        return value_loss.data, {
+            "value_loss": float(value_loss.data),
+            "grad_norm_critic": clip_grad_norm(critic.named_parameters(), grad_clip)}
+
+    def minibatch_step(mb, pool) -> dict:
+        """One Adam step on rows `mb`; only floats leave it, so its tapes go with it."""
+        inputs = (mb, priv[mb], h[mb], roll[mb])    # one gather, shared by both networks
+        optimizer.zero_grad()
+        critic_job = pool.submit(critic_pass, *inputs) if pool else None
+        actor_loss, stats = actor_pass(*inputs)
+        value_loss, critic_stats = critic_job.result() if pool else critic_pass(*inputs)
+        if not np.isfinite(float(actor_loss + value_loss)):
+            raise TrainingError("non-finite PPO loss")
+        optimizer.step()
+        return {**stats, **critic_stats}
+
+    stats = dict.fromkeys(("policy_loss", "value_loss", "entropy", "clip_fraction",
+                           "grad_norm_actor", "grad_norm_critic"), 0.0)
+    stats["skipped"] = 0
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        worker = pool if len(os.sched_getaffinity(0)) > 1 else None
+        for _ in range(epochs):
+            for mb in np.array_split(rng.permutation(n), minibatches):
+                for key, value in minibatch_step(mb, worker).items():
+                    stats[key] += value
+    for key in stats.keys() - {"skipped"}:
+        stats[key] /= max(epochs * minibatches, 1)     # array_split makes `minibatches` parts
     return stats
 
 
@@ -543,7 +558,7 @@ class Trainer:
         self.recent_returns = self.recent_returns[-50:]
 
         model_stats = {k: 0.0 for k in LOSS_TERMS}
-        model_stats["total"] = 0.0
+        model_stats["total"] = model_grad_norm = 0.0
         n_model = 0
         for _ in range(tc.model_updates_per_iteration):
             seq = self.replay.sample_sequences(tc.model_batch, tc.model_seq_len,
@@ -553,7 +568,7 @@ class Trainer:
             loss, breakdown = self.model.model_loss(seq, self.rng_model)
             self.opt_model.zero_grad()
             loss.backward()
-            clip_grad_norm(self.opt_model.params, tc.grad_clip_model)
+            model_grad_norm += clip_grad_norm(self.opt_model.params, tc.grad_clip_model)
             self.opt_model.step()
             for k, v in breakdown.items():
                 model_stats[k] += v
@@ -586,6 +601,7 @@ class Trainer:
             "episodes_completed": len(success),
             "model_updates": n_model,
             "model_loss": {k: round(v, 6) for k, v in model_stats.items()},
+            "model_grad_norm": round(model_grad_norm / max(n_model, 1), 6),
             "ppo": {k: round(float(v), 6) for k, v in ppo_stats.items()},
             "replay": {"episodes": len(self.replay.episodes["length"]),
                        "records": self.replay.total,

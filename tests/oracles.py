@@ -1,8 +1,9 @@
 """Independent oracles: these implement the expected quantities by a route
 separate from the library code they check (finite differences, closed-form
 densities, a scalar optimizer re-implementation, Riccati recursion,
-composites of elementary ops for autodiff's one-node ops, and the model
-loss unrolled one time step at a time)."""
+composites of elementary ops for autodiff's one-node ops, a backward that
+keeps its graph, the model loss unrolled one time step at a time, and PPO
+with one backward of the joint loss on one thread)."""
 
 import math
 
@@ -12,6 +13,7 @@ from kinoplan import autodiff as ad
 from kinoplan.autodiff import Tensor
 from kinoplan.errors import DataError, DimensionError, TrainingError
 from kinoplan.model import LOSS_TERMS
+from kinoplan.nn import NET_DTYPE, clip_grad_norm
 from kinoplan.state import IDX_OFFSET, IDX_PZ, x_features
 
 
@@ -355,3 +357,80 @@ def looped_model_loss(model, batch: dict, rng: np.random.Generator):
         loss = weighted if loss is None else loss + weighted
     breakdown["total"] = float(loss.data)
     return loss, breakdown
+
+
+def graph_keeping_backward(root: Tensor):
+    """`root.backward()` for a scalar root as it was before backward
+    released its graph: every node keeps its parents and closure."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents if id(p) not in seen)
+    grads = {id(root): np.ones_like(root.data)}
+    for node in reversed(order):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node.requires_grad:
+            node.grad = g if node.grad is None else node.grad + g
+        if node._backward is None:
+            continue
+        for parent, pg in zip(node._parents, node._backward(g)):
+            if pg is not None:
+                key = id(parent)
+                grads[key] = grads[key] + pg if key in grads else pg
+
+
+def joint_loss_ppo_update(batch, actor, critic, optimizer, rng, epochs=4, minibatches=4,
+                          clip_ratio=0.2, entropy_coef=0.005, grad_clip=1.0) -> dict:
+    """`training.ppo_update` as one backward of the joint loss
+    -policy_term - entropy_coef * entropy + value_loss per minibatch, on one
+    thread, then each network's clip and one Adam step: the reference for the
+    actor and critic passes run apart. Its stats hold the same keys."""
+    T, B = batch.rewards.shape
+    n = T * B
+    priv = batch.priv.reshape(n, -1)
+    obs = priv[:, :actor.obs_dim]
+    h = batch.h.reshape(n, -1)
+    roll = batch.rollout.reshape(n, -1)
+    actions = batch.actions.reshape(n, -1).astype(NET_DTYPE, copy=False)
+    logp_old = batch.log_probs.reshape(n).astype(NET_DTYPE, copy=False)
+    adv = batch.advantages.reshape(n)
+    adv = ((adv - adv.mean()) / (adv.std() + 1e-8)).astype(NET_DTYPE)
+    returns = batch.returns.reshape(n).astype(NET_DTYPE)
+    stats = dict.fromkeys(("policy_loss", "value_loss", "entropy", "clip_fraction",
+                           "grad_norm_actor", "grad_norm_critic"), 0.0)
+    stats["skipped"] = updates = 0
+    for _ in range(epochs):
+        for mb in np.array_split(rng.permutation(n), minibatches):
+            dist = actor(obs[mb], h[mb], roll[mb])
+            ratio = ad.exp(dist.log_prob(actions[mb]) - logp_old[mb])
+            finite = np.isfinite(ratio.data)
+            surr = ad.minimum(ratio * adv[mb],
+                              ad.clip(ratio, 1.0 - clip_ratio, 1.0 + clip_ratio) * adv[mb])
+            surr = ad.where(finite, surr, np.zeros_like(adv[mb]))
+            policy_term = ad.sum_(surr) * (1.0 / max(int(finite.sum()), 1))
+            entropy = ad.mean(dist.entropy())
+            value_loss = ad.mean(ad.square(critic(priv[mb], h[mb], roll[mb]) - returns[mb]))
+            loss = -policy_term - entropy_coef * entropy + value_loss
+            if not np.isfinite(float(loss.data)):
+                raise TrainingError("non-finite PPO loss")
+            optimizer.zero_grad()
+            loss.backward()
+            stats["grad_norm_actor"] += clip_grad_norm(actor.named_parameters(), grad_clip)
+            stats["grad_norm_critic"] += clip_grad_norm(critic.named_parameters(), grad_clip)
+            optimizer.step()
+            stats["policy_loss"] += float(-policy_term.data)
+            stats["value_loss"] += float(value_loss.data)
+            stats["entropy"] += float(entropy.data)
+            stats["clip_fraction"] += float(np.mean(np.abs(ratio.data - 1.0) > clip_ratio))
+            stats["skipped"] += int((~finite).sum())
+            updates += 1
+    for key in stats.keys() - {"skipped"}:
+        stats[key] /= max(updates, 1)
+    return stats

@@ -1,6 +1,8 @@
 """Op-level gradient checks against central finite differences, plus tape
 semantics (no_grad, broadcasting, determinism)."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from kinoplan import autodiff as ad
 from kinoplan.autodiff import Tensor
 from kinoplan.errors import DimensionError
 
-from oracles import (composite_gru_cell, matmul, max_relative_error, numeric_gradient, relu,
-                     sigmoid, tanh)
+from oracles import (composite_gru_cell, graph_keeping_backward, matmul, max_relative_error,
+                     numeric_gradient, relu, sigmoid, tanh)
 
 
 def _check_unary(op, rng, shape=(3, 4), scale=1.0, shift=0.0, tol=1e-6):
@@ -529,3 +531,29 @@ def test_off_tape_result_has_the_dtype_and_bits_of_the_tape_result(name, dtype, 
         assert out.data.dtype == tape.data.dtype
         assert out.data.tobytes() == tape.data.tobytes()
         assert out._parents == () and out._backward is None and not out.requires_grad
+
+
+def test_backward_releases_the_graph_as_it_goes(rng):
+    """backward drops each node's parents and closure once it has run: a
+    hidden layer's output is freed once the caller drops its own reference,
+    though the caller still holds the loss, and every parameter gradient has
+    the bits of a backward that keeps the graph."""
+    xd = rng.normal(size=(32, 5)).astype(F32)
+    arrays = [rng.normal(size=s).astype(F32) for s in ((5, 16), (16,), (16, 1), (1,))]
+
+    def loss_and_hidden():
+        params = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        hidden = ad.dense(xd, params[0], params[1], elu=True)
+        return ad.sum_(ad.square(ad.dense(hidden, params[2], params[3]))), hidden, params
+
+    ref_loss, _, ref_params = loss_and_hidden()
+    graph_keeping_backward(ref_loss)
+    loss, hidden, params = loss_and_hidden()
+    gone = weakref.ref(hidden.data)
+    del hidden
+    assert gone() is not None                   # the graph holds it until backward
+    loss.backward()
+    assert gone() is None
+    assert loss._parents == () and loss._backward is None
+    for p, ref in zip(params, ref_params):
+        assert p.grad.tobytes() == ref.grad.tobytes()

@@ -4,6 +4,7 @@ contracts, replay, stop-gradient separation, and resume determinism."""
 import json
 import os
 import pickle
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ from kinoplan.nn import Adam, load_checkpoint, param_checksum, save_checkpoint
 from kinoplan.policy import Actor, Critic
 from kinoplan.training import (SequenceReplay, Trainer, compute_gae, collect_rollouts,
                                ppo_update)
-from oracles import ListReplay, episode_records
+from oracles import ListReplay, episode_records, joint_loss_ppo_update
 from smoke import smoke_config
 
 
@@ -361,6 +362,9 @@ def test_metrics_rows_report_replay_size(tmp_path):
     for row in rows:
         assert row["schema_version"] == training.METRICS_SCHEMA_VERSION == 2
         assert set(row["replay"]) == {"episodes", "records", "skipped_short"}
+        for norm in (row["ppo"]["grad_norm_actor"], row["ppo"]["grad_norm_critic"],
+                     row["model_grad_norm"]):
+            assert np.isfinite(norm)
     assert rows[-1]["replay"] == {"episodes": len(tr.replay.episodes["length"]),
                                   "records": tr.replay.total,
                                   "skipped_short": tr.replay.skipped_short}
@@ -585,7 +589,8 @@ def test_first_ppo_update_stays_in_trust_region(tmp_path, seed, monkeypatch):
 
 def _random_ppo_problem(T: int, hidden: tuple[int, ...], return_scale: float = 1.0):
     """A seeded actor and critic, an Adam over both and a random (T, 4)
-    rollout batch; returns them with the generator they were drawn from."""
+    rollout batch, whose observation is priv's leading columns, as the env
+    lays them out; returns them with the generator they were drawn from."""
     rng = np.random.default_rng(0)
     obs_dim, priv_dim, d_h, horizon, act = 12, 14, 8, 2, 3
     actor = Actor(obs_dim, d_h, horizon, act, rng, hidden=hidden)
@@ -594,7 +599,8 @@ def _random_ppo_problem(T: int, hidden: tuple[int, ...], return_scale: float = 1
     params.update({f"critic.{k}": v for k, v in critic.named_parameters().items()})
     B = 4
     batch = training.RolloutBatch(
-        obs=rng.normal(size=(T, B, obs_dim)), priv=rng.normal(size=(T, B, priv_dim)),
+        priv=np.concatenate([rng.normal(size=(T, B, obs_dim)),
+                             rng.normal(size=(T, B, priv_dim))[..., obs_dim:]], axis=-1),
         h=rng.normal(size=(T, B, d_h)), rollout=rng.normal(size=(T, B, horizon * 7)),
         actions=rng.normal(size=(T, B, act)), log_probs=rng.normal(size=(T, B)) - 3.0,
         rewards=rng.normal(size=(T, B)), dones=np.zeros((T, B)),
@@ -640,3 +646,68 @@ def test_critic_error_does_not_scale_the_actor_step():
     (actor_1, critic_1), (actor_100, critic_100) = after(1.0), after(100.0)
     assert critic_1 != critic_100
     assert actor_1 == actor_100
+
+
+def _usable_cpus(monkeypatch, cpus):
+    """Let ppo_update see `cpus` CPUs in the process's affinity."""
+    monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_ppo_passes_match_the_joint_loss_bit_for_bit(cpus, monkeypatch):
+    """The actor and critic passes, on two threads or one after the other on
+    one CPU, leave the parameters, every Adam moment and the stats of one
+    backward of the joint loss on one thread."""
+    threads = set()
+    forward = Critic.forward
+
+    def recording_forward(self, *args):
+        threads.add(threading.get_ident())
+        return forward(self, *args)
+
+    problems = [_random_ppo_problem(64, (64, 64)) for _ in range(2)]
+    ref_batch, ref_actor, ref_critic, ref_opt, ref_rng = problems[1]
+    ref_stats = joint_loss_ppo_update(ref_batch, ref_actor, ref_critic, ref_opt, ref_rng,
+                                      epochs=2, minibatches=4)
+    _usable_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(Critic, "forward", recording_forward)
+    batch, actor, critic, opt, rng = problems[0]
+    stats = ppo_update(batch, actor, critic, opt, rng, epochs=2, minibatches=4)
+
+    assert (threads == {threading.get_ident()}) == (cpus == 1)
+    assert (param_checksum(actor), param_checksum(critic)) \
+        == (param_checksum(ref_actor), param_checksum(ref_critic))
+    assert opt.t == ref_opt.t == 8
+    for name in opt.params:
+        assert opt.m[name].tobytes() == ref_opt.m[name].tobytes(), name
+        assert opt.v[name].tobytes() == ref_opt.v[name].tobytes(), name
+    assert stats == ref_stats
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_nonfinite_critic_loss_raises_before_any_step(cpus, monkeypatch):
+    """A NaN return makes the joint loss non-finite: the update raises
+    before Adam's first step, and its worker thread is gone."""
+    _usable_cpus(monkeypatch, cpus)
+    batch, actor, critic, opt, rng = _random_ppo_problem(16, (16, 16))
+    batch.returns[3, 1] = np.nan
+    before = (param_checksum(actor), param_checksum(critic))
+    threads = threading.enumerate()
+    with pytest.raises(TrainingError, match="non-finite PPO loss"):
+        ppo_update(batch, actor, critic, opt, rng, epochs=1, minibatches=1)
+    assert (param_checksum(actor), param_checksum(critic)) == before
+    assert opt.t == 0
+    assert threading.enumerate() == threads
+
+
+def test_critic_pass_error_reaches_the_caller(monkeypatch):
+    """An exception in the critic pass on the worker thread is raised by
+    ppo_update itself, after the actor pass, with no step taken."""
+    def failing_forward(self, *args):
+        raise DataError("critic failed")
+
+    monkeypatch.setattr(Critic, "forward", failing_forward)
+    batch, actor, critic, opt, rng = _random_ppo_problem(16, (16, 16))
+    with pytest.raises(DataError, match="critic failed"):
+        ppo_update(batch, actor, critic, opt, rng, epochs=1, minibatches=2)
+    assert opt.t == 0
