@@ -3,10 +3,10 @@
 A dynamic tape: each op returns a new Tensor holding references to its
 parents and a closure that routes the incoming gradient to them. Only the
 operations this package actually uses are implemented. Gradients for a
-scalar loss are obtained with ``loss.backward()``, which releases the graph
-as it goes: a graph can be backpropagated once. Grad mode (`_GRAD_ENABLED`,
-off inside `no_grad`) is one flag per process, not per thread; PPO's actor
-and critic passes run on two threads, and neither enters `no_grad`.
+scalar loss are obtained with ``loss.backward()``, which frees the graph as
+it goes: a second backward through any of its ops raises. Grad mode
+(`_GRAD_ENABLED`, off in `no_grad`) is one flag per process, not per thread;
+neither of PPO's two concurrent passes (actor and critic) enters `no_grad`.
 
 The dtype rule: every tensor keeps its own float dtype, and all tensor
 operands of an op on the tape share one dtype. A Python scalar adopts that
@@ -108,10 +108,10 @@ class Tensor:
 
         grads = {id(self): grad}
         while order:
-            # drop each node's closure and parents once read: activations go early
-            node = order.pop()
-            parents, backward, node._parents, node._backward = \
-                node._parents, node._backward, (), None
+            node = order.pop()      # each op's closure and parents go once read
+            parents, backward = node._parents, node._backward
+            if backward is not None:
+                node._parents, node._backward = (), _released
             g = grads.pop(id(node), None)
             if g is None:
                 continue
@@ -167,6 +167,10 @@ def _pair(a, b) -> tuple[Tensor, Tensor]:
     if type(b) in (int, float):
         return a, Tensor(np.asarray(b, dtype=a.data.dtype))
     return a, as_tensor(b)
+
+
+def _released(g):
+    raise RuntimeError("backward through a graph that was already backpropagated")
 
 
 def _tracked(*tensors) -> bool:
@@ -333,9 +337,8 @@ def dense(x, w, b, elu: bool = False) -> Tensor:
 
     def backward(g):
         if elu:
-            slope = _elu_slope(data)    # laid out as data, like g * slope
-            slope *= g                  # in place: one (N, out) temporary, not two
-            g = slope
+            slope = _elu_slope(data)
+            g = np.multiply(slope, g, out=slope)    # one (N, out) temporary, not two
         return (g @ w.data.T if need_x else None,
                 x.data.T @ g if need_w else None,
                 g.sum(axis=0) if need_b else None)

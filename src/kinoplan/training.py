@@ -12,10 +12,9 @@ value target. Each record field is an array with a row per record, staged
 per env by `Collector` and kept in rings by `SequenceReplay`; the state at
 a window's end is the next row's, or the episode's terminal state.
 
-PPO splits each minibatch into the actor's pass (surrogate and entropy) and
-the critic's (value loss), each a forward, its backward and its network's
-gradient clip. The two graphs share only constants, so with the critic's on
-a worker thread the bits are those of one backward of the joint loss.
+PPO splits each minibatch into an actor pass and a critic pass, each a
+forward, its backward and its network's gradient clip, the critic's on a
+worker thread; the graphs share only constants, so the bits are the joint loss's.
 """
 
 from __future__ import annotations
@@ -358,12 +357,12 @@ def ppo_update(batch: RolloutBatch, actor: Actor, critic: Critic, optimizer: Ada
                grad_clip: float = 1.0) -> dict:
     """Clipped-surrogate PPO over the flattened batch, advantages normalized;
     the internal model is untouched by construction (h/rollout enter as constants).
-    The actions and the GAE targets enter the loss in NET_DTYPE. The critic's
-    pass runs on one worker thread that lives as long as this call, beside the
-    actor's on this one (after it, here, if the process may use one CPU); numpy
-    releases the GIL in BLAS and ufuncs, so both cores work. Each pass clips its
-    network's gradients to `grad_clip` (stats: the pre-clip norms' means), and
-    the one Adam step follows a check that the joint loss is finite."""
+    The actions and the GAE targets enter the loss in NET_DTYPE. Each pass clips
+    its network's gradients to `grad_clip` (stats: the pre-clip norms' means);
+    the one Adam step follows a check that the joint loss is finite. The critic's
+    pass runs on a worker thread that lives as long as this call: with one BLAS
+    thread the two passes use two cores, but a multi-threaded BLAS already does,
+    and the passes' calls then contend for its threads and run slower."""
     n = batch.rewards.size
     priv = batch.priv.reshape(n, -1)
     h = batch.h.reshape(n, -1)
@@ -405,22 +404,20 @@ def ppo_update(batch: RolloutBatch, actor: Actor, critic: Critic, optimizer: Ada
         """One Adam step on rows `mb`; only floats leave it, so its tapes go with it."""
         inputs = (mb, priv[mb], h[mb], roll[mb])    # one gather, shared by both networks
         optimizer.zero_grad()
-        critic_job = pool.submit(critic_pass, *inputs) if pool else None
+        critic_job = pool.submit(critic_pass, *inputs)
         actor_loss, stats = actor_pass(*inputs)
-        value_loss, critic_stats = critic_job.result() if pool else critic_pass(*inputs)
+        value_loss, critic_stats = critic_job.result()
         if not np.isfinite(float(actor_loss + value_loss)):
             raise TrainingError("non-finite PPO loss")
         optimizer.step()
         return {**stats, **critic_stats}
 
-    stats = dict.fromkeys(("policy_loss", "value_loss", "entropy", "clip_fraction",
-                           "grad_norm_actor", "grad_norm_critic"), 0.0)
-    stats["skipped"] = 0
+    stats = {**dict.fromkeys(("policy_loss", "value_loss", "entropy", "clip_fraction",
+                              "grad_norm_actor", "grad_norm_critic"), 0.0), "skipped": 0}
     with ThreadPoolExecutor(max_workers=1) as pool:
-        worker = pool if len(os.sched_getaffinity(0)) > 1 else None
         for _ in range(epochs):
             for mb in np.array_split(rng.permutation(n), minibatches):
-                for key, value in minibatch_step(mb, worker).items():
+                for key, value in minibatch_step(mb, pool).items():
                     stats[key] += value
     for key in stats.keys() - {"skipped"}:
         stats[key] /= max(epochs * minibatches, 1)     # array_split makes `minibatches` parts

@@ -554,6 +554,21 @@ def test_backward_releases_the_graph_as_it_goes(rng):
     assert gone() is not None                   # the graph holds it until backward
     loss.backward()
     assert gone() is None
-    assert loss._parents == () and loss._backward is None
+    assert loss._parents == ()
     for p, ref in zip(params, ref_params):
         assert p.grad.tobytes() == ref.grad.tobytes()
+
+
+def test_backward_through_a_released_graph_raises(rng):
+    """A second backward, of the loss or of a new graph built on one of its
+    intermediates, raises instead of leaving the gradients unchanged."""
+    w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    hidden = ad.dense(rng.normal(size=(4, 3)), w, Tensor(np.zeros(2)), elu=True)
+    loss = ad.sum_(ad.square(hidden))
+    loss.backward()
+    grad = w.grad.copy()
+    with pytest.raises(RuntimeError, match="already backpropagated"):
+        loss.backward()
+    with pytest.raises(RuntimeError, match="already backpropagated"):
+        ad.sum_(hidden * 2.0).backward()
+    assert w.grad.tobytes() == grad.tobytes()
